@@ -104,7 +104,7 @@ const benchResetEvery = 4096
 
 // BenchmarkDynamicAddAll measures steady-state per-record ingest cost at
 // fixed group counts, for the linear-scan and centroid kd-index routers,
-// through both the per-record Add loop and the speculative AddBatch engine
+// through both the per-record Add loop and the AddBatch path
 // (1024-record batches), over two stream shapes: isotropic i.i.d. noise
 // (worst case for spatial pruning) and a correlated rank-3 factor stream
 // (the attribute-correlated regime the paper targets). All cells of one
@@ -281,7 +281,15 @@ func BenchmarkStreamFeed(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			base := benchBase(b, full, G, k)
 			fresh := func() *stream.Driver {
-				d, err := stream.NewDriver(benchFresh(b, base, core.SearchAuto))
+				c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(13)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := c.ShardedFrom(base, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d, err := stream.NewDriver(eng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,7 +323,7 @@ func BenchmarkStreamFeed(b *testing.B) {
 }
 
 // BenchmarkServerIngest measures the full HTTP ingest path — JSON decode,
-// validation, the write-locked AddBatch, and the JSON response — in
+// validation, the engine's AddBatchContext, and the JSON response — in
 // records per op: each iteration POSTs one 1024-record pre-encoded body
 // against a server resumed at G = 800 over the correlated stream, and
 // ns/op is per record, comparable to the engine-level benchmarks above.

@@ -1,6 +1,7 @@
 package condensation
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 					n = b.N - done
 				}
 				lo := done % (len(pool) - batchSize)
-				if err := eng.AddBatch(pool[lo : lo+n]); err != nil {
+				if err := eng.AddBatchContext(context.Background(), pool[lo:lo+n]); err != nil {
 					b.Fatal(err)
 				}
 				done += n

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	condenserd -addr :8080 -dim 7 -k 25
-//	condenserd -addr :8080 -dim 7 -k 25 -search kdtree -par 8
+//	condenserd -addr :8080 -dim 7 -k 25 -search kdtree
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
 //	condenserd -addr :8080 -resume checkpoint.bin
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
@@ -50,8 +50,8 @@
 //
 // A group-lifecycle journal (ring capacity -journal, default 4096; 0
 // disables it) records structured explainability events — group creation,
-// splits with parent→child lineage, router rebuilds, speculation
-// fallbacks, read-cache invalidations, watchdog transitions — served from
+// splits with parent→child lineage, router rebuilds, read-cache
+// invalidations, watchdog transitions — served from
 // /v1/events. Per-group diagnostics (size, birth generation, lineage,
 // centroid drift, covariance condition number) are on /v1/groups and
 // /v1/groups/{id}; POST /v1/explain dry-runs routing for a record without
@@ -120,12 +120,11 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		addr        = fs.String("addr", ":8080", "listen address")
 		dim         = fs.Int("dim", 0, "record dimensionality (required unless -resume)")
 		k           = fs.Int("k", 10, "indistinguishability level")
-		shards      = fs.Int("shards", 1, "independent condenser shards (1 = single unsharded engine)")
+		shards      = fs.Int("shards", 1, "independent condenser shards, each with its own lock (1 = one shard, bit-identical to an unsharded engine)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
 		search      = fs.String("search", "auto", "neighbour-search backend: auto, scan-sort, quickselect, or kdtree")
 		precision   = fs.String("precision", "float64", "routing index arithmetic: float64, or float32 (prune in single precision, re-verify in float64; identical output)")
-		parallel    = fs.Int("par", 0, "worker goroutines for batch routing and static sweeps (≤ 0 means NumCPU)")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
@@ -221,7 +220,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		core.WithSeed(*seed), core.WithOptions(condenserOpts),
 		core.WithNeighborSearch(searchBackend),
 		core.WithIndexPrecision(indexPrecision),
-		core.WithParallelism(*parallel),
 		core.WithTelemetry(reg),
 		core.WithTracer(tracer))
 	if err != nil {

@@ -261,12 +261,12 @@ func TestRunTraceOut(t *testing.T) {
 	}
 }
 
-// TestRunSearchFlag covers the routing-backend and parallelism flags: every
+// TestRunSearchFlag covers the routing-backend flag: every
 // backend name serves identically (the backends are exact, so even the
 // ingested state agrees), and unknown names are rejected before listening.
 func TestRunSearchFlag(t *testing.T) {
 	for _, backend := range []string{"auto", "scan-sort", "quickselect", "kdtree"} {
-		h, err := capture(t, []string{"-dim", "2", "-k", "3", "-search", backend, "-par", "2"})
+		h, err := capture(t, []string{"-dim", "2", "-k", "3", "-search", backend})
 		if err != nil {
 			t.Fatalf("-search %s: %v", backend, err)
 		}

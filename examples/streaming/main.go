@@ -38,11 +38,13 @@ func main() {
 	}
 	fmt.Printf("initial database: %d records in %d groups\n", base.TotalCount(), base.NumGroups())
 
-	dyn, err := condenser.DynamicFrom(base)
+	// One shard continues the static condensation exactly as an unsharded
+	// dynamic condenser would.
+	eng, err := condenser.ShardedFrom(base, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	driver, err := stream.NewDriver(dyn)
+	driver, err := stream.NewDriver(eng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -162,11 +162,15 @@ func TestPipelineDynamicStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := core.NewDynamic(base, r.Split())
+		c, err := core.NewCondenser(k, core.WithRandomSource(r.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		driver, err := stream.NewDriver(dyn)
+		eng, err := c.ShardedFrom(base, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driver, err := stream.NewDriver(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

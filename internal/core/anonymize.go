@@ -258,7 +258,7 @@ func condenseRecords(recs []mat.Vector, cfg AnonymizeConfig, r *rng.Source) (*Co
 		}
 		dyn.SetTelemetry(cfg.Telemetry)
 		dyn.SetTracer(cfg.Tracer)
-		if err := dyn.AddAll(recs[initial:]); err != nil {
+		if err := dyn.AddBatch(recs[initial:]); err != nil {
 			return nil, err
 		}
 		cond := dyn.Condensation()

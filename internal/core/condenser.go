@@ -129,10 +129,10 @@ func WithTracer(tr *telemetry.Tracer) CondenserOption {
 
 // WithJournal attaches a group-lifecycle journal: dynamic engines built by
 // this Condenser then record structured foundings, splits (with
-// parent→child lineage), router rebuilds, and speculation fallbacks into
-// its ring. A nil journal (the default) disables recording. Like the
-// tracer, the journal is observe-only — it never touches the rng stream,
-// so condensed output is bit-identical either way.
+// parent→child lineage), and router rebuilds into its ring. A nil journal
+// (the default) disables recording. Like the tracer, the journal is
+// observe-only — it never touches the rng stream, so condensed output is
+// bit-identical either way.
 func WithJournal(j *telemetry.Journal) CondenserOption {
 	return func(c *Condenser) { c.journal = j }
 }
@@ -197,8 +197,8 @@ func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]
 
 // Dynamic returns an empty dynamic condenser (Figure 2) over records of
 // the given dimensionality, for pure-stream deployments with no initial
-// database. The Condenser's neighbour-search backend and parallelism
-// configure the stream's centroid routing and AddBatch speculation.
+// database. The Condenser's neighbour-search backend and index precision
+// configure the stream's centroid routing.
 func (c *Condenser) Dynamic(dim int) (*Dynamic, error) {
 	d, err := NewDynamicEmpty(dim, c.k, c.opts, c.rng())
 	if err != nil {

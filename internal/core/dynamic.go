@@ -32,9 +32,12 @@ const searchSampleEvery = 64
 //
 // Records are routed through a pluggable nearest-centroid router
 // (SetNeighborSearch): the paper's linear scan, or a maintained kd-index
-// that stays exact under centroid drift and splits. Batches ingest
-// fastest through AddBatch, which speculatively routes records in
-// parallel and applies them sequentially — bit-identical to an Add loop.
+// that stays exact under centroid drift and splits. AddBatch ingests a
+// whole batch through the same route-and-absorb steps as Add, after
+// validating all of it.
+//
+// A Dynamic performs no locking: it is the single-threaded unit a Sharded
+// runs one of per shard, under that shard's lock.
 type Dynamic struct {
 	k    int
 	dim  int
@@ -50,11 +53,10 @@ type Dynamic struct {
 	telLabels []string // label pairs applied to every engine series (sharding)
 	tr        *telemetry.Tracer
 
-	search  searchConfig     // routing backend + batch speculation parallelism
-	router  centroidRouter   // maintained nearest-centroid structure
-	routed  int              // records routed, for sampled stage timing
-	scratch batchScratch     // reusable AddBatch buffers
-	eig     mat.EigenScratch // reusable split eigensolve workspaces
+	search searchConfig     // routing backend + index precision
+	router centroidRouter   // maintained nearest-centroid structure
+	routed int              // records routed, for sampled stage timing
+	eig    mat.EigenScratch // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
 	// groups/centroids: ids[i] is slot i's stable group id and births[i]
@@ -146,12 +148,12 @@ func (d *Dynamic) rebaseIDs(base uint64) {
 }
 
 // SetJournal attaches a group-lifecycle journal: group foundings, splits
-// (with parent→child lineage), router rebuilds, and speculation fallbacks
-// are then recorded as structured events stamped with this engine's shard
-// index and the triggering mutation generation. A nil journal (the
-// default) disables recording at one nil check per event site. The journal
-// is observe-only — it never touches the rng stream or the group moments,
-// so condensed output is bit-identical with it on or off.
+// (with parent→child lineage), and router rebuilds are then recorded as
+// structured events stamped with this engine's shard index and the
+// triggering mutation generation. A nil journal (the default) disables
+// recording at one nil check per event site. The journal is observe-only
+// — it never touches the rng stream or the group moments, so condensed
+// output is bit-identical with it on or off.
 func (d *Dynamic) SetJournal(j *telemetry.Journal) { d.jr = j }
 
 // bump advances the mutation generation at the start of a state change,
@@ -160,18 +162,17 @@ func (d *Dynamic) SetJournal(j *telemetry.Journal) { d.jr = j }
 func (d *Dynamic) bump() { d.lastMut = d.gen.Add(1) }
 
 // Generation returns the engine's mutation generation. It advances on
-// every state-changing apply (Add, each applied record of AddBatch —
-// group splits ride along) and is stable across pure reads, so an equal
-// generation implies bit-identical condensed state. Reading it needs no
-// lock: the counter is atomic.
+// every applied record (group splits ride along) and is stable across
+// pure reads, so an equal generation implies bit-identical condensed
+// state. Reading it needs no lock: the counter is atomic.
 func (d *Dynamic) Generation() uint64 { return d.gen.Load() }
 
 // SetTelemetry attaches a metrics registry: Add and AddBatch then count
 // stream records and split events, time the nearest-centroid routing (the
 // dynamic engine's neighbour search — sampled one record in
-// searchSampleEvery for Add, once per batch for AddBatch, so steady-state
-// ingest pays no per-record clock reads) and the statistics splits, and
-// keep a live group-count gauge. A nil registry disables recording.
+// searchSampleEvery, so steady-state ingest pays no per-record clock
+// reads) and the statistics splits, and keep a live group-count gauge. A
+// nil registry disables recording.
 // Telemetry is observe-only and never touches the split-axis rng.
 func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
 	d.setTelemetryLabeled(reg)
@@ -191,10 +192,10 @@ func (d *Dynamic) setTelemetryLabeled(reg *telemetry.Registry, labels ...string)
 
 // SetTracer attaches a span tracer: Add records a sampled per-record
 // ingest span (with a split child when the record triggers one), and
-// AddBatch records a batch span with speculation/apply phase children —
-// nested under the span in the caller's context, if any. A nil tracer
-// (the default) disables tracing; a disabled or unsampled record costs one
-// nil check and one atomic load, preserving the 0 allocs/record hot path.
+// AddBatch records one batch span with a child per split — nested under
+// the span in the caller's context, if any. A nil tracer (the default)
+// disables tracing; a disabled or unsampled record costs one nil check
+// and one atomic load, preserving the 0 allocs/record hot path.
 // Tracing is observe-only and never touches the split-axis rng.
 func (d *Dynamic) SetTracer(tr *telemetry.Tracer) { d.tr = tr }
 
@@ -270,29 +271,6 @@ func (d *Dynamic) TotalCount() int { return d.total }
 // Splits returns the number of group splits performed so far.
 func (d *Dynamic) Splits() int { return d.splits }
 
-// NumShards returns 1: a Dynamic is a single shard.
-func (d *Dynamic) NumShards() int { return 1 }
-
-// Shard snapshots shard i; only Shard(0) exists and equals Condensation().
-func (d *Dynamic) Shard(i int) *Condensation {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
-	return d.Condensation()
-}
-
-// ShardCounts returns the live counts of shard i; only shard 0 exists.
-func (d *Dynamic) ShardCounts(i int) (records, groups, splits int) {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
-	return d.total, len(d.groups), d.splits
-}
-
-// Synchronized reports false: Dynamic performs no locking of its own, so
-// callers sharing it across goroutines must serialize access themselves.
-func (d *Dynamic) Synchronized() bool { return false }
-
 // validateRecord rejects records the engine cannot condense.
 func (d *Dynamic) validateRecord(x mat.Vector) error {
 	if len(x) != d.dim {
@@ -329,10 +307,54 @@ func (d *Dynamic) add(x mat.Vector, sp *telemetry.Span) error {
 	}
 	best := d.route(x)
 	sp.SetAttrInt("group", best)
-	if err := d.ingest(best, x, sp); err != nil {
-		return err
+	return d.ingest(best, x, sp)
+}
+
+// AddBatch ingests a batch of records; see AddBatchContext.
+func (d *Dynamic) AddBatch(records []mat.Vector) error {
+	return d.AddBatchContext(context.Background(), records)
+}
+
+// AddBatchContext ingests a batch all or nothing. The whole batch is
+// validated and the context checked once, before any record is applied:
+// a malformed record or a done context rejects the batch untouched.
+// After that every record is applied in order through the same route and
+// ingest steps Add uses, so the condensation — groups, centroids, rng
+// stream — is bit-identical to an Add loop over the same records.
+func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
+	for i, x := range records {
+		if err := d.validateRecord(x); err != nil {
+			return fmt.Errorf("core: batch record %d: %w", i, err)
+		}
 	}
-	d.met.streamRecords.Inc()
+	if len(records) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: batch cancelled before apply: %w", err)
+	}
+	return d.applyBatch(ctx, records)
+}
+
+// applyBatch applies an already validated batch in order under one
+// dynamic.add_batch span (nested under ctx's span, if any). ctx carries
+// only the trace parent: the cancellation decision was made by the
+// caller, so the batch is applied whole.
+func (d *Dynamic) applyBatch(ctx context.Context, records []mat.Vector) error {
+	_, sp := d.tr.Start(ctx, "dynamic.add_batch")
+	sp.SetAttrInt("records", len(records))
+	defer sp.End()
+	for i, x := range records {
+		var err error
+		if len(d.groups) == 0 {
+			err = d.found(x)
+		} else {
+			err = d.ingest(d.route(x), x, sp)
+		}
+		if err != nil {
+			return fmt.Errorf("core: batch record %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
@@ -386,8 +408,8 @@ func (d *Dynamic) route(x mat.Vector) int {
 // place (no allocation), keeps the router in sync, and performs the
 // paper's split once the group reaches 2k records: delete M from H, add
 // M1 and M2 to H. sp, when non-nil, is the enclosing trace span (the
-// sampled per-record span for Add, the apply-phase span for AddBatch); a
-// split then records a child span under it.
+// sampled per-record span for Add, the batch span for AddBatch); a split
+// then records a child span under it.
 func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	d.bump()
 	g := d.groups[best]
@@ -395,6 +417,7 @@ func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		return err
 	}
 	d.total++
+	d.met.streamRecords.Inc()
 	if err := g.MeanInto(d.centroids[best]); err != nil {
 		return err
 	}
@@ -454,28 +477,6 @@ func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	return nil
 }
 
-// AddAll streams a batch of records through Add. For large batches,
-// AddBatch produces the identical condensation faster.
-func (d *Dynamic) AddAll(records []mat.Vector) error {
-	return d.AddAllContext(context.Background(), records)
-}
-
-// AddAllContext is AddAll with cancellation: between records it checks the
-// context and stops with the context's error once it is done. Records
-// admitted before cancellation stay condensed — the structure remains
-// valid, the remainder of the batch is simply not ingested.
-func (d *Dynamic) AddAllContext(ctx context.Context, records []mat.Vector) error {
-	for i, x := range records {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: stream cancelled at record %d: %w", i, err)
-		}
-		if err := d.Add(x); err != nil {
-			return fmt.Errorf("core: stream record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Condensation snapshots the current groups as an immutable Condensation
 // that can be synthesized from. The group copies are cached per mutation
 // generation: a snapshot taken with no intervening writes reuses the
@@ -510,15 +511,11 @@ func (d *Dynamic) Condensation() *Condensation {
 	return cond
 }
 
-// ShardGroupSizes appends the live per-group record counts of shard i to
-// buf (resliced to zero length first) and returns it; only shard 0 exists.
-// Unlike Shard, this reads the retained counts directly — no group
-// cloning — so size-only consumers (per-shard stats, k-invariant checks)
-// stay O(G) ints under the serving lock.
-func (d *Dynamic) ShardGroupSizes(i int, buf []int) []int {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
+// groupSizes appends the live per-group record counts to buf (resliced to
+// zero length first) and returns it. It reads the retained counts
+// directly — no group cloning — so size-only consumers (per-shard stats,
+// k-invariant checks) stay O(G) ints under the shard lock.
+func (d *Dynamic) groupSizes(buf []int) []int {
 	buf = buf[:0]
 	for _, g := range d.groups {
 		buf = append(buf, g.N())

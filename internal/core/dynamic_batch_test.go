@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"condensation/internal/mat"
@@ -52,8 +54,8 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 }
 
 // TestAddBatchEquivalence is the determinism contract of the batch ingest
-// engine: AddBatch with any routing backend, any speculation parallelism,
-// and any batch slicing produces bit-identical groups, centroids, and
+// engine: AddBatch with any routing backend and any batch slicing
+// produces bit-identical groups, centroids, and
 // synthesized output to the sequential scan-backend Add loop on the same
 // seed — both from an empty condenser and from a static bootstrap.
 func TestAddBatchEquivalence(t *testing.T) {
@@ -93,26 +95,23 @@ func TestAddBatchEquivalence(t *testing.T) {
 		want := dynamicFingerprint(t, ref)
 
 		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree} {
-			for _, par := range []int{1, 2, 8} {
-				for _, batch := range []int{1, 7, 256, len(stream)} {
-					d := build(boot)
-					if err := d.SetNeighborSearch(search); err != nil {
+			for _, batch := range []int{1, 7, 256, len(stream)} {
+				d := build(boot)
+				if err := d.SetNeighborSearch(search); err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < len(stream); lo += batch {
+					hi := lo + batch
+					if hi > len(stream) {
+						hi = len(stream)
+					}
+					if err := d.AddBatch(stream[lo:hi]); err != nil {
 						t.Fatal(err)
 					}
-					d.SetParallelism(par)
-					for lo := 0; lo < len(stream); lo += batch {
-						hi := lo + batch
-						if hi > len(stream) {
-							hi = len(stream)
-						}
-						if err := d.AddBatch(stream[lo:hi]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-						t.Fatalf("boot=%v search=%v par=%d batch=%d: AddBatch diverged from sequential Add loop",
-							boot, search, par, batch)
-					}
+				}
+				if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
+					t.Fatalf("boot=%v search=%v batch=%d: AddBatch diverged from sequential Add loop",
+						boot, search, batch)
 				}
 			}
 		}
@@ -123,8 +122,10 @@ func TestAddBatchEquivalence(t *testing.T) {
 			if err := d.SetNeighborSearch(search); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddAll(stream); err != nil {
-				t.Fatal(err)
+			for _, x := range stream {
+				if err := d.Add(x); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
 				t.Fatalf("boot=%v search=%v: Add diverged from scan backend", boot, search)
@@ -258,5 +259,89 @@ func TestSetNeighborSearchInvalid(t *testing.T) {
 	}
 	if err := d.SetNeighborSearch(NeighborSearch(99)); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// liveOnceCtx is a context whose Err reports nil on its first call and
+// Canceled on every later one: a client that disconnects right after the
+// ingest path has decided to apply.
+type liveOnceCtx struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *liveOnceCtx) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestAddBatchAllOrNothing: batch ingest decides cancellation once, before
+// any record is applied. A context cancelled after that decision still
+// gets the whole batch, identical to an Add loop; a context cancelled
+// before it gets none of it.
+func TestAddBatchAllOrNothing(t *testing.T) {
+	const k, dim = 4, 3
+	stream := gaussianRecords(51, 600, dim)
+	c, err := NewCondenser(k, WithSeed(52))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := c.Dynamic(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range stream {
+		if err := ref.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := c.Dynamic(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddBatchContext(&liveOnceCtx{Context: context.Background()}, stream); err != nil {
+		t.Fatalf("Dynamic: cancellation after the apply decision returned %v, want nil", err)
+	}
+	if !bytes.Equal(dynamicFingerprint(t, d), dynamicFingerprint(t, ref)) {
+		t.Fatal("Dynamic: batch under a late-cancelled context differs from the Add loop")
+	}
+
+	for _, shards := range []int{1, 4} {
+		refS, err := c.Sharded(dim, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range stream {
+			if err := refS.Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := c.Sharded(dim, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddBatchContext(&liveOnceCtx{Context: context.Background()}, stream); err != nil {
+			t.Fatalf("%d shards: cancellation after the apply decision returned %v, want nil", shards, err)
+		}
+		if got := s.TotalCount(); got != len(stream) {
+			t.Fatalf("%d shards: %d records applied, want the whole batch of %d", shards, got, len(stream))
+		}
+		if !bytes.Equal(checkpointBytes(t, s), checkpointBytes(t, refS)) {
+			t.Fatalf("%d shards: batch under a late-cancelled context differs from the Add loop", shards)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		gen := s.Generation()
+		if err := s.AddBatchContext(ctx, stream); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d shards: pre-cancelled batch returned %v, want context.Canceled", shards, err)
+		}
+		if s.TotalCount() != len(stream) || s.Generation() != gen {
+			t.Fatalf("%d shards: pre-cancelled batch applied records (count %d, generation %d -> %d)",
+				shards, s.TotalCount(), gen, s.Generation())
+		}
 	}
 }

@@ -27,8 +27,7 @@ const dynamicIndexCutoff = 256
 // answer the paper's linear scan over H produces — so every router routes
 // every record identically and the condensed statistics are bit-identical
 // across backends. update/add keep the router in sync with the engine's
-// in-place centroid cache; nearest must be safe for concurrent callers
-// between mutations (AddBatch's speculation phase fans it out read-only).
+// in-place centroid cache.
 type centroidRouter interface {
 	// nearest returns the nearest centroid's group id and squared
 	// distance. The engine never calls it with zero groups.
@@ -42,20 +41,10 @@ type centroidRouter interface {
 	label() string
 }
 
-// batchRouter is the optional bulk face of a router: nearestBatch answers
-// nearest for qs[i] into ids[i]/ds[i], identical to len(qs) independent
-// nearest calls. AddBatch's speculation phase uses it when available so
-// the whole chunk runs through the cache-blocked block-vs-block kernel.
-type batchRouter interface {
-	nearestBatch(qs []mat.Vector, ids []int, ds []float64)
-}
-
 // scanRouter is the reference backend: the paper's linear scan over the
 // group centroids, kept as a flat row-major arena so nearest is one
 // contiguous kernel sweep (O(G·d), no pointer chasing). update and add
-// mirror the engine's in-place centroid cache into the arena; both are
-// only called between queries (engine mutations are sequential), so
-// concurrent speculation reads never race them.
+// mirror the engine's in-place centroid cache into the arena.
 type scanRouter struct {
 	d     *Dynamic
 	arena []float64 // row i = d.centroids[i], kept current
@@ -71,10 +60,6 @@ func newScanRouter(d *Dynamic) *scanRouter {
 
 func (s *scanRouter) nearest(x mat.Vector) (int, float64) {
 	return kernel.ArgminFlat(x, s.arena)
-}
-
-func (s *scanRouter) nearestBatch(qs []mat.Vector, ids []int, ds []float64) {
-	kernel.ArgminBatch(ids, ds, qs, s.arena, s.d.dim)
 }
 
 func (s *scanRouter) update(id int) {
@@ -189,11 +174,6 @@ func (d *Dynamic) SetNeighborSearch(s NeighborSearch) error {
 	d.initRouter()
 	return nil
 }
-
-// SetParallelism bounds the worker goroutines of AddBatch's speculative
-// routing phase; values < 1 (the default) mean runtime.NumCPU(). The
-// result is identical at every setting.
-func (d *Dynamic) SetParallelism(p int) { d.search.Parallelism = p }
 
 // SetIndexPrecision selects the routing index arithmetic (default
 // Float64). Float32 halves the pruning sweep's memory traffic while the

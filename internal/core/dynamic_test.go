@@ -21,7 +21,7 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(stream); err != nil {
+	if err := dyn.AddBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -47,7 +47,7 @@ func TestDynamicSplitsHappen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(38, 100, 0)); err != nil {
+	if err := dyn.AddBatch(clusteredRecords(38, 100, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() <= before {
@@ -69,7 +69,7 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamB := clusteredRecords(42, 0, 60)
-	if err := dyn.AddAll(streamB); err != nil {
+	if err := dyn.AddBatch(streamB); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -93,7 +93,7 @@ func TestDynamicEmptyStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(44, 30, 0)); err != nil {
+	if err := dyn.AddBatch(clusteredRecords(44, 30, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() == 0 {
@@ -157,12 +157,12 @@ func TestDynamicCondensationSnapshotIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(49, 10, 0)); err != nil {
+	if err := dyn.AddBatch(clusteredRecords(49, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
 	before := snap.TotalCount()
-	if err := dyn.AddAll(clusteredRecords(50, 10, 0)); err != nil {
+	if err := dyn.AddBatch(clusteredRecords(50, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if snap.TotalCount() != before {
@@ -178,7 +178,7 @@ func TestDynamicK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(52, 20, 0)); err != nil {
+	if err := dyn.AddBatch(clusteredRecords(52, 20, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()

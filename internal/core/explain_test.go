@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -101,7 +102,7 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddBatch(gaussianRecords(23, 900, dim)); err != nil {
+	if err := s.AddBatchContext(context.Background(), gaussianRecords(23, 900, dim)); err != nil {
 		t.Fatal(err)
 	}
 	infos := s.GroupInfos(nil)
@@ -361,7 +362,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream := gaussianRecords(51, 1200, dim)
-		if err := s.AddBatch(stream[:400]); err != nil {
+		if err := s.AddBatchContext(context.Background(), stream[:400]); err != nil {
 			t.Fatal(err)
 		}
 		probes := gaussianRecords(52, 200, dim)
@@ -370,7 +371,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for lo := 400; lo < len(stream); lo += 100 {
-				if err := s.AddBatch(stream[lo : lo+100]); err != nil {
+				if err := s.AddBatchContext(context.Background(), stream[lo:lo+100]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -399,7 +400,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for lo := 0; lo < len(stream); lo += 100 {
-			if err := ref.AddBatch(stream[lo : lo+100]); err != nil {
+			if err := ref.AddBatchContext(context.Background(), stream[lo:lo+100]); err != nil {
 				t.Fatal(err)
 			}
 		}

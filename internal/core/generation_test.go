@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -64,9 +65,7 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 	g := d.Generation()
 	_ = d.Condensation()
 	_ = d.Condensation()
-	_ = d.Shard(0)
-	_ = d.ShardGroupSizes(0, nil)
-	_, _, _ = d.ShardCounts(0)
+	_ = d.groupSizes(nil)
 	_ = d.NumGroups()
 	_ = d.TotalCount()
 	if got := d.Generation(); got != g {
@@ -87,7 +86,7 @@ func TestGenerationSharedAcrossShards(t *testing.T) {
 		t.Fatalf("fresh engine generation %d, want 0", g)
 	}
 	records := clusteredRecords(43, 80, 80)
-	if err := s.AddBatch(records); err != nil {
+	if err := s.AddBatchContext(context.Background(), records); err != nil {
 		t.Fatal(err)
 	}
 	// All shards advance one shared counter: the composite generation is
@@ -175,7 +174,7 @@ func TestShardGroupSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := clusteredRecords(47, 50, 50)
-	if err := s.AddBatch(records); err != nil {
+	if err := s.AddBatchContext(context.Background(), records); err != nil {
 		t.Fatal(err)
 	}
 	var total, groups int
@@ -239,7 +238,7 @@ func TestSnapshotCacheCoherentUnderWrites(t *testing.T) {
 		}
 		return out
 	}
-	if err := s.AddBatch(batch(1, 200)); err != nil {
+	if err := s.AddBatchContext(context.Background(), batch(1, 200)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,7 +251,7 @@ func TestSnapshotCacheCoherentUnderWrites(t *testing.T) {
 		wg.Add(1)
 		go func(round int) {
 			defer wg.Done()
-			if err := s.AddBatch(batch(uint64(100+round), 32)); err != nil {
+			if err := s.AddBatchContext(context.Background(), batch(uint64(100+round), 32)); err != nil {
 				t.Error(err)
 			}
 		}(round)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"condensation/internal/mat"
@@ -94,23 +95,20 @@ func TestFloat32RoutingEquivalence(t *testing.T) {
 		t.Fatal("float32 Add path diverged from float64 routing")
 	}
 
-	// Speculative batch path at several worker counts and batch shapes.
-	for _, par := range []int{1, 2, 8} {
-		for _, batch := range []int{1, 7, 300, len(stream)} {
-			d := build(Float32)
-			d.SetParallelism(par)
-			for lo := 0; lo < len(stream); lo += batch {
-				hi := lo + batch
-				if hi > len(stream) {
-					hi = len(stream)
-				}
-				if err := d.AddBatch(stream[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
+	// Batch path at several batch shapes.
+	for _, batch := range []int{1, 7, 300, len(stream)} {
+		d := build(Float32)
+		for lo := 0; lo < len(stream); lo += batch {
+			hi := lo + batch
+			if hi > len(stream) {
+				hi = len(stream)
 			}
-			if !bytes.Equal(dynamicFingerprint(t, d), want) {
-				t.Fatalf("par=%d batch=%d: float32 AddBatch diverged from float64 routing", par, batch)
+			if err := d.AddBatch(stream[lo:hi]); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if !bytes.Equal(dynamicFingerprint(t, d), want) {
+			t.Fatalf("batch=%d: float32 AddBatch diverged from float64 routing", batch)
 		}
 	}
 }
@@ -165,7 +163,7 @@ func TestShardedFloat32Equivalence(t *testing.T) {
 
 	build := func(p IndexPrecision) *Sharded {
 		t.Helper()
-		c, err := NewCondenser(k, WithSeed(52))
+		c, err := NewCondenser(k, WithSeed(52), WithIndexPrecision(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,18 +171,17 @@ func TestShardedFloat32Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetIndexPrecision(p); err != nil {
-			t.Fatal(err)
-		}
 		return s
 	}
 
 	ref := build(Float64)
-	if err := ref.AddAll(stream); err != nil {
-		t.Fatal(err)
+	for _, x := range stream {
+		if err := ref.Add(x); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := build(Float32)
-	if err := got.AddBatch(stream); err != nil {
+	if err := got.AddBatchContext(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < shards; i++ {

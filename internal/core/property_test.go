@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 }
 
 // Property: under arbitrary interleavings of Add and AddBatch — random
-// batch sizes, random routing backends, random speculation parallelism —
+// batch sizes, random routing backends —
 // a dynamic condenser bootstrapped from a static condensation keeps every
 // group inside the paper's steady-state band k ≤ n(G) ≤ 2k−1 and never
 // loses a record. (Splits interleave implicitly: any group reaching 2k is
@@ -116,7 +117,6 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		if err := dyn.SetNeighborSearch(backends[r.IntN(len(backends))]); err != nil {
 			return false
 		}
-		dyn.SetParallelism(1 + r.IntN(8))
 		total := len(base)
 		for op := 0; op < 12; op++ {
 			if r.Bool(0.5) {
@@ -138,6 +138,96 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		}
 		for _, g := range dyn.Condensation().Groups() {
 			if g.N() < k || g.N() > 2*k-1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: moment conservation at stream level. Under random
+// interleavings of Add and AddBatchContext on a sharded engine — 1 to 4
+// shards, scan or kd-index routing, streams long enough to split many
+// times — the pooled first-order sums Σ Fs, second-order sums Σ Sc, and
+// record count n over all groups equal the running sums of the ingested
+// records. Eq. 3's split preserves a group's pooled first and second
+// moments, so the only slack is floating-point rounding: each entry must
+// agree within 1e-9 relative to the sum of its terms' magnitudes.
+func TestShardedMomentConservationProperty(t *testing.T) {
+	const tol = 1e-9
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		d := 1 + r.IntN(4)
+		k := 2 + r.IntN(6)
+		shards := 1 + r.IntN(4)
+		search := []NeighborSearch{SearchScanSort, SearchKDTree}[r.IntN(2)]
+		c, err := NewCondenser(k, WithSeed(r.Uint64()), WithNeighborSearch(search))
+		if err != nil {
+			return false
+		}
+		eng, err := c.Sharded(d, shards)
+		if err != nil {
+			return false
+		}
+		fs, fsAbs := make([]float64, d), make([]float64, d)
+		sc, scAbs := make([]float64, d*d), make([]float64, d*d)
+		n := 0
+		absorb := func(x mat.Vector) {
+			for i := range x {
+				fs[i] += x[i]
+				fsAbs[i] += math.Abs(x[i])
+				for j := range x {
+					sc[i*d+j] += x[i] * x[j]
+					scAbs[i*d+j] += math.Abs(x[i] * x[j])
+				}
+			}
+			n++
+		}
+		for op := 0; op < 20; op++ {
+			if r.Bool(0.3) {
+				x := randomRecords(r, 1, d)[0]
+				if err := eng.Add(x); err != nil {
+					return false
+				}
+				absorb(x)
+				continue
+			}
+			batch := randomRecords(r, r.IntN(120), d)
+			if err := eng.AddBatchContext(context.Background(), batch); err != nil {
+				return false
+			}
+			for _, x := range batch {
+				absorb(x)
+			}
+		}
+		gotFs, gotSc := make([]float64, d), make([]float64, d*d)
+		gotN := 0
+		for _, g := range eng.Condensation().Groups() {
+			gotN += g.N()
+			gfs, gsc := g.FirstOrderSums(), g.SecondOrderSums()
+			for i := 0; i < d; i++ {
+				gotFs[i] += gfs[i]
+				for j := 0; j < d; j++ {
+					gotSc[i*d+j] += gsc.At(i, j)
+				}
+			}
+		}
+		if gotN != n || eng.TotalCount() != n {
+			t.Logf("seed %d: pooled n = %d, engine %d, ingested %d", seed, gotN, eng.TotalCount(), n)
+			return false
+		}
+		for i := range fs {
+			if math.Abs(gotFs[i]-fs[i]) > tol*fsAbs[i] {
+				t.Logf("seed %d: Σ Fs[%d] = %g, running sum %g", seed, i, gotFs[i], fs[i])
+				return false
+			}
+		}
+		for i := range sc {
+			if math.Abs(gotSc[i]-sc[i]) > tol*scAbs[i] {
+				t.Logf("seed %d: Σ Sc[%d] = %g, running sum %g", seed, i, gotSc[i], sc[i])
 				return false
 			}
 		}

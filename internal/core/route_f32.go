@@ -28,8 +28,8 @@ import (
 // synthesis draw downstream — is bit-identical to the float64 scan.
 //
 // Mutations (update/add) only happen between queries under the engine's
-// sequential write discipline; concurrent speculation calls nearest
-// read-only with per-call scratch from a sync.Pool.
+// sequential write discipline; each nearest call takes its scratch from a
+// sync.Pool.
 type f32Router struct {
 	d      *Dynamic
 	arena  []float32
@@ -69,16 +69,6 @@ func (r *f32Router) nearest(x mat.Vector) (int, float64) {
 	best, bestD := r.nearestWith(x, s)
 	r.pool.Put(s)
 	return best, bestD
-}
-
-// nearestBatch answers a block of queries with one pooled scratch instead
-// of a pool round-trip per record; each answer is exactly nearest's.
-func (r *f32Router) nearestBatch(qs []mat.Vector, ids []int, ds []float64) {
-	s := r.pool.Get().(*f32Scratch)
-	for i, x := range qs {
-		ids[i], ds[i] = r.nearestWith(x, s)
-	}
-	r.pool.Put(s)
 }
 
 func (r *f32Router) nearestWith(x mat.Vector, s *f32Scratch) (int, float64) {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"condensation/internal/mat"
-	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
 	"condensation/internal/telemetry"
@@ -31,11 +30,12 @@ import (
 // partitioning generally), so every merged group still condenses at least
 // k records.
 //
-// Unlike Dynamic, Sharded is safe for concurrent use: reads take per-shard
-// read locks and writes take only the locks of the shards their records
-// hash to, so concurrent batches contend per shard instead of per engine.
-// A single-shard Sharded is bit-identical to a Dynamic built from the same
-// configuration (TestEngineInterfaceEquivalence).
+// Sharded is the engine the server and the stream driver run, and it is
+// safe for concurrent use: reads take per-shard read locks and writes take
+// only the locks of the shards their records hash to, so concurrent
+// batches contend per shard instead of per engine. A single-shard Sharded
+// is bit-identical to a Dynamic built from the same configuration
+// (TestEngineInterfaceEquivalence).
 type Sharded struct {
 	k    int
 	dim  int
@@ -132,8 +132,8 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Sharded, er
 }
 
 // finish wires the Condenser's observability, shares one mutation
-// generation counter across the shards, partitions the group-id space per
-// shard, and divides the speculation parallelism across them.
+// generation counter across the shards, and partitions the group-id space
+// per shard.
 func (s *Sharded) finish(c *Condenser) {
 	s.gen = new(atomic.Uint64)
 	for i, sh := range s.shards {
@@ -145,7 +145,6 @@ func (s *Sharded) finish(c *Condenser) {
 		sh.dyn.shardIndex = i
 		sh.dyn.rebaseIDs(uint64(i) << groupIDShardShift)
 	}
-	s.SetParallelism(c.search.Parallelism)
 	s.SetTelemetry(c.tel)
 	s.SetTracer(c.trace)
 	s.SetJournal(c.journal)
@@ -239,10 +238,6 @@ func (s *Sharded) Dim() int { return s.dim }
 // NumShards returns the number of independent shards.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Synchronized reports true: Sharded performs its own per-shard locking
-// and is safe for concurrent use.
-func (s *Sharded) Synchronized() bool { return true }
-
 // NumGroups returns the group count summed over shards.
 func (s *Sharded) NumGroups() int {
 	var n int
@@ -302,44 +297,19 @@ func (s *Sharded) Add(x mat.Vector) error {
 	return err
 }
 
-// AddAll streams a batch of records through Add. For large batches,
-// AddBatch produces the identical condensation faster.
-func (s *Sharded) AddAll(records []mat.Vector) error {
-	return s.AddAllContext(context.Background(), records)
-}
-
-// AddAllContext is AddAll with cancellation between records. Records
-// admitted before cancellation stay condensed.
-func (s *Sharded) AddAllContext(ctx context.Context, records []mat.Vector) error {
-	for i, x := range records {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: stream cancelled at record %d: %w", i, err)
-		}
-		if err := s.Add(x); err != nil {
-			return fmt.Errorf("core: stream record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// AddBatch ingests a batch of records, producing the exact condensation
-// an Add loop over the same records produces. See AddBatchContext.
-func (s *Sharded) AddBatch(records []mat.Vector) error {
-	return s.AddBatchContext(context.Background(), records)
-}
-
-// AddBatchContext is the sharded engine's high-throughput ingest path:
-// the batch is validated up front, partitioned by the routing hash into
-// per-shard sub-batches that preserve stream order, and the sub-batches
-// are applied concurrently — each through its shard's speculative batch
-// engine, under that shard's lock alone. Because routing depends only on
-// record values and each shard sees its records in stream order, the
-// result is bit-identical to a sequential Add loop over the same batch,
-// at any concurrency.
+// AddBatchContext is the sharded engine's batch ingest path, all or
+// nothing: the whole batch is validated and the context checked once,
+// before any shard applies. After that the batch is partitioned by the
+// routing hash into per-shard sub-batches that preserve stream order, and
+// the sub-batches are applied whole and concurrently, each under its
+// shard's lock alone. Because routing depends only on record values and
+// each shard sees its records in stream order, the result is
+// bit-identical to a sequential Add loop over the same batch, at any
+// concurrency.
 //
-// Cancellation is checked per shard at record boundaries; records applied
-// before cancellation stay condensed. The error returned is the
-// lowest-shard-index failure, so error reporting is deterministic too.
+// A cancellation error therefore means no record was applied. The error
+// returned after apply starts is the lowest-shard-index failure, so error
+// reporting is deterministic too.
 func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) error {
 	for i, x := range records {
 		if err := s.validateRecord(x); err != nil {
@@ -349,10 +319,13 @@ func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) err
 	if len(records) == 0 {
 		return nil
 	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: batch cancelled before apply: %w", err)
+	}
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
 		sh.mu.Lock()
-		err := sh.dyn.AddBatchContext(ctx, records)
+		err := sh.dyn.applyBatch(ctx, records)
 		sh.mu.Unlock()
 		return err
 	}
@@ -400,7 +373,7 @@ func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) err
 			}
 			sh := s.shards[i]
 			sh.mu.Lock()
-			errs[i] = sh.dyn.AddBatchContext(shCtx, part)
+			errs[i] = sh.dyn.applyBatch(shCtx, part)
 			sh.mu.Unlock()
 		}(i, part)
 	}
@@ -464,7 +437,7 @@ func (s *Sharded) ShardCounts(i int) (records, groups, splits int) {
 func (s *Sharded) ShardGroupSizes(i int, buf []int) []int {
 	sh := s.shards[i]
 	sh.mu.RLock()
-	buf = sh.dyn.ShardGroupSizes(0, buf)
+	buf = sh.dyn.groupSizes(buf)
 	sh.mu.RUnlock()
 	return buf
 }
@@ -498,57 +471,6 @@ func (s *Sharded) SetTracer(tr *telemetry.Tracer) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.dyn.SetTracer(tr)
-		sh.mu.Unlock()
-	}
-}
-
-// SetNeighborSearch selects the routing backend for every shard.
-func (s *Sharded) SetNeighborSearch(search NeighborSearch) error {
-	if err := search.validate(); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := sh.dyn.SetNeighborSearch(search)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetIndexPrecision selects the routing index arithmetic for every
-// shard. Precision never changes output: float32 pruning re-verifies in
-// float64 before any routing decision.
-func (s *Sharded) SetIndexPrecision(p IndexPrecision) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := sh.dyn.SetIndexPrecision(p)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetParallelism bounds the total speculation workers across the engine:
-// the budget (values < 1 mean runtime.NumCPU()) is divided evenly among
-// the shards, each shard receiving at least one worker, since the shards
-// themselves already run concurrently during AddBatch. Parallelism never
-// changes output.
-func (s *Sharded) SetParallelism(p int) {
-	per := par.Workers(p) / len(s.shards)
-	if per < 1 {
-		per = 1
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.dyn.SetParallelism(per)
 		sh.mu.Unlock()
 	}
 }

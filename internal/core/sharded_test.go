@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // checkpointBytes serializes an engine's merged snapshot — the exact
 // byte-level fingerprint the reproducibility contract is stated over.
-func checkpointBytes(t *testing.T, eng Engine) []byte {
+func checkpointBytes(t *testing.T, eng interface{ Condensation() *Condensation }) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := eng.Condensation().WriteTo(&buf); err != nil {
@@ -35,27 +36,29 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	build := func(t *testing.T, sharded, fromInitial bool) Engine {
+	build := func(t *testing.T, fromInitial bool) (*Dynamic, *Sharded) {
 		t.Helper()
 		c, err := NewCondenser(k, WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eng Engine
-		switch {
-		case sharded && fromInitial:
-			eng, err = c.ShardedFrom(initial, 1)
-		case sharded:
-			eng, err = c.Sharded(dim, 1)
-		case fromInitial:
-			eng, err = c.DynamicFrom(initial)
-		default:
-			eng, err = c.Dynamic(dim)
+		var dyn *Dynamic
+		var shd *Sharded
+		if fromInitial {
+			dyn, err = c.DynamicFrom(initial)
+			if err == nil {
+				shd, err = c.ShardedFrom(initial, 1)
+			}
+		} else {
+			dyn, err = c.Dynamic(dim)
+			if err == nil {
+				shd, err = c.Sharded(dim, 1)
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return dyn, shd
 	}
 
 	for _, tc := range []struct {
@@ -69,17 +72,22 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 		{"bootstrap/batch", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dyn := build(t, false, tc.fromInitial)
-			shd := build(t, true, tc.fromInitial)
-			for _, eng := range []Engine{dyn, shd} {
-				var err error
-				if tc.batch {
-					err = eng.AddBatch(stream)
-				} else {
-					err = eng.AddAll(stream)
-				}
-				if err != nil {
+			dyn, shd := build(t, tc.fromInitial)
+			if tc.batch {
+				if err := dyn.AddBatch(stream); err != nil {
 					t.Fatal(err)
+				}
+				if err := shd.AddBatchContext(context.Background(), stream); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, x := range stream {
+					if err := dyn.Add(x); err != nil {
+						t.Fatal(err)
+					}
+					if err := shd.Add(x); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if got, want := checkpointBytes(t, shd), checkpointBytes(t, dyn); !bytes.Equal(got, want) {
@@ -90,8 +98,8 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 					shd.TotalCount(), shd.NumGroups(), shd.Splits(),
 					dyn.TotalCount(), dyn.NumGroups(), dyn.Splits())
 			}
-			if shd.NumShards() != 1 || !shd.Synchronized() || dyn.Synchronized() {
-				t.Fatal("capability methods disagree with the engines' contracts")
+			if shd.NumShards() != 1 {
+				t.Fatalf("NumShards = %d, want 1", shd.NumShards())
 			}
 		})
 	}
@@ -100,7 +108,7 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 // TestShardedMergedSnapshotDeterministic is the reproducibility contract
 // at every shard count: the same seed, shard count, and stream produce a
 // bit-identical merged snapshot — across independent engines, across
-// speculation parallelism settings, and across the Add/AddBatch paths —
+// batch slicing, and across the Add/AddBatch paths —
 // and every shard independently upholds the paper's k ≤ n ≤ 2k−1 group
 // size invariant.
 func TestShardedMergedSnapshotDeterministic(t *testing.T) {
@@ -122,31 +130,31 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 			}
 
 			a := build(t)
-			a.SetParallelism(1)
 			for lo := 0; lo < len(stream); lo += 128 {
 				hi := lo + 128
 				if hi > len(stream) {
 					hi = len(stream)
 				}
-				if err := a.AddBatch(stream[lo:hi]); err != nil {
+				if err := a.AddBatchContext(context.Background(), stream[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			b := build(t)
-			b.SetParallelism(8)
-			if err := b.AddBatch(stream); err != nil {
+			if err := b.AddBatchContext(context.Background(), stream); err != nil {
 				t.Fatal(err)
 			}
 
 			c := build(t)
-			if err := c.AddAll(stream); err != nil {
-				t.Fatal(err)
+			for _, x := range stream {
+				if err := c.Add(x); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			ref := checkpointBytes(t, a)
 			if !bytes.Equal(ref, checkpointBytes(t, b)) {
-				t.Fatal("merged snapshot differs across batch slicing/parallelism")
+				t.Fatal("merged snapshot differs across batch slicing")
 			}
 			if !bytes.Equal(ref, checkpointBytes(t, c)) {
 				t.Fatal("merged snapshot differs between AddBatch and Add loop")
@@ -259,13 +267,13 @@ func TestShardedValidation(t *testing.T) {
 	if err := s.Add(mat.Vector{1}); err == nil {
 		t.Fatal("wrong-dimension record accepted")
 	}
-	if err := s.AddBatch([]mat.Vector{{1, 2}, {3}}); err == nil {
+	if err := s.AddBatchContext(context.Background(), []mat.Vector{{1, 2}, {3}}); err == nil {
 		t.Fatal("batch with wrong-dimension record accepted")
 	}
 	if s.TotalCount() != 0 {
 		t.Fatal("rejected batch left records behind")
 	}
-	if err := s.AddBatch(nil); err != nil {
+	if err := s.AddBatchContext(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -295,7 +303,7 @@ func TestShardedFromDistributesGroups(t *testing.T) {
 		if got := s.TotalCount(); got != initial.TotalCount() {
 			t.Fatalf("%d shards: %d records after seeding, want %d", shards, got, initial.TotalCount())
 		}
-		if err := s.AddAll(gaussianRecords(23, 40, dim)); err != nil {
+		if err := s.AddBatchContext(context.Background(), gaussianRecords(23, 40, dim)); err != nil {
 			t.Fatalf("%d shards: ingest after seeding: %v", shards, err)
 		}
 	}
@@ -320,7 +328,7 @@ func TestShardedTelemetryLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetTelemetry(reg)
-		if err := s.AddBatch(stream); err != nil {
+		if err := s.AddBatchContext(context.Background(), stream); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -412,7 +420,7 @@ func TestShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddBatch(stream); err != nil {
+	if err := s.AddBatchContext(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
 	var records, groups, splits int
@@ -432,20 +440,20 @@ func TestShardCounts(t *testing.T) {
 			records, groups, splits, s.TotalCount(), s.NumGroups(), s.Splits())
 	}
 
-	d, err := c.Dynamic(dim)
+	d, err := c.Sharded(dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddAll(stream[:100]); err != nil {
+	if err := d.AddBatchContext(context.Background(), stream[:100]); err != nil {
 		t.Fatal(err)
 	}
 	r, g, sp := d.ShardCounts(0)
 	if r != d.TotalCount() || g != d.NumGroups() || sp != d.Splits() {
-		t.Errorf("dynamic ShardCounts = (%d,%d,%d), want (%d,%d,%d)",
+		t.Errorf("1-shard ShardCounts = (%d,%d,%d), want (%d,%d,%d)",
 			r, g, sp, d.TotalCount(), d.NumGroups(), d.Splits())
 	}
 	for name, f := range map[string]func(){
-		"dynamic": func() { d.ShardCounts(1) },
+		"1-shard": func() { d.ShardCounts(1) },
 		"sharded": func() { s.ShardCounts(shards) },
 	} {
 		func() {

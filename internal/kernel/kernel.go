@@ -1,8 +1,8 @@
 // Package kernel holds the cache-blocked, bounds-check-eliminated distance
-// kernels behind the condensation hot loops: one-query-vs-block and
-// block-vs-block squared-distance sweeps over a flat row-major []float64
-// coordinate arena (the knn.CentroidIndex arena layout), and the argmin /
-// top-k reductions that every caller's lexicographic (distance, id)
+// kernels behind the condensation hot loops: one-query-vs-block
+// squared-distance sweeps over a flat row-major []float64 coordinate
+// arena (the knn.CentroidIndex arena layout), and the argmin / top-k
+// reductions that every caller's lexicographic (distance, id)
 // tie-break contract rests on.
 //
 // Bit-identity contract: every float64 kernel accumulates each squared
@@ -162,7 +162,52 @@ func Sweep[Q ~[]float64](dist []float64, q Q, block []float64) {
 // the incumbent best are abandoned early; the winner's distance is always
 // the full bit-exact accumulation.
 func ArgminFlat[Q ~[]float64](q Q, block []float64) (int, float64) {
-	return argminFlatFrom(q, block, 0, -1, inf())
+	bestID, bestD := -1, inf()
+	d := len(q)
+	rows := len(block) / d
+	if len(block) != rows*d {
+		panic("kernel: arena size mismatch")
+	}
+	if d == 8 {
+		// Same hand-inlined form as ArgminFlatIDs; here row order is id
+		// order, so an exact tie can never displace the incumbent and the
+		// final strict `<` is the complete update condition.
+		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+		for i := 0; i < rows; i++ {
+			r := block[i*8 : i*8+8]
+			_ = r[7]
+			d0 := r[0] - q0
+			s := d0 * d0
+			d1 := r[1] - q1
+			s += d1 * d1
+			d2 := r[2] - q2
+			s += d2 * d2
+			d3 := r[3] - q3
+			s += d3 * d3
+			if s > bestD {
+				continue
+			}
+			d4 := r[4] - q4
+			s += d4 * d4
+			d5 := r[5] - q5
+			s += d5 * d5
+			d6 := r[6] - q6
+			s += d6 * d6
+			d7 := r[7] - q7
+			s += d7 * d7
+			if s < bestD {
+				bestID, bestD = i, s
+			}
+		}
+		return bestID, bestD
+	}
+	for i := 0; i < rows; i++ {
+		dd, ok := distSqBound(block[i*d:i*d+d], q, bestD)
+		if ok && dd < bestD {
+			bestID, bestD = i, dd
+		}
+	}
+	return bestID, bestD
 }
 
 // ArgminFlatIDs folds the rows of a flat arena into an incumbent
@@ -241,87 +286,6 @@ func ArgminIndexed[Q ~[]float64, S ~[]float64](q Q, points []S, ids []int, bestI
 		}
 	}
 	return bestID, bestD
-}
-
-// argminFlatFrom folds arena rows with identities base, base+1, ... into
-// the incumbent. Because row order IS id order here, an exact tie can
-// never displace the incumbent, so the strict bound prune is complete.
-func argminFlatFrom[Q ~[]float64](q Q, block []float64, base, bestID int, bestD float64) (int, float64) {
-	d := len(q)
-	rows := len(block) / d
-	if len(block) != rows*d {
-		panic("kernel: arena size mismatch")
-	}
-	if d == 8 {
-		// Same hand-inlined form as ArgminFlatIDs; here row order is id
-		// order, so the final strict `<` is the complete update condition.
-		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-		for i := 0; i < rows; i++ {
-			r := block[i*8 : i*8+8]
-			_ = r[7]
-			d0 := r[0] - q0
-			s := d0 * d0
-			d1 := r[1] - q1
-			s += d1 * d1
-			d2 := r[2] - q2
-			s += d2 * d2
-			d3 := r[3] - q3
-			s += d3 * d3
-			if s > bestD {
-				continue
-			}
-			d4 := r[4] - q4
-			s += d4 * d4
-			d5 := r[5] - q5
-			s += d5 * d5
-			d6 := r[6] - q6
-			s += d6 * d6
-			d7 := r[7] - q7
-			s += d7 * d7
-			if s < bestD {
-				bestID, bestD = base+i, s
-			}
-		}
-		return bestID, bestD
-	}
-	for i := 0; i < rows; i++ {
-		dd, ok := distSqBound(block[i*d:i*d+d], q, bestD)
-		if ok && dd < bestD {
-			bestID, bestD = base+i, dd
-		}
-	}
-	return bestID, bestD
-}
-
-// argminBatchTileRows bounds how many arena rows a block-vs-block tile
-// spans: 256 rows × 8 dims × 8 bytes = 16 KiB, small enough that the tile
-// stays cache-resident while every query in the batch sweeps it.
-const argminBatchTileRows = 256
-
-// ArgminBatch is the block-vs-block sweep: for each query qs[i] it writes
-// the (row, distance) of the nearest arena row into bestIDs[i] /
-// bestDs[i], with ties toward the lower row. The arena is walked in
-// row-major tiles so a tile is reused across all queries while cache-hot;
-// because tiles are folded in ascending row order, each query's answer is
-// bit-identical to an independent ArgminFlat scan.
-func ArgminBatch[S ~[]float64](bestIDs []int, bestDs []float64, qs []S, block []float64, dim int) {
-	rows := len(block) / dim
-	if len(block) != rows*dim {
-		panic("kernel: arena size mismatch")
-	}
-	for i := range bestIDs {
-		bestIDs[i], bestDs[i] = -1, inf()
-	}
-	for lo := 0; lo < rows; lo += argminBatchTileRows {
-		hi := lo + argminBatchTileRows
-		if hi > rows {
-			hi = rows
-		}
-		tile := block[lo*dim : hi*dim]
-		for i, q := range qs {
-			bestIDs[i], bestDs[i] = argminFlatFrom(q, tile, lo, bestIDs[i], bestDs[i])
-		}
-	}
 }
 
 // TopK arranges order so that its first k entries are the positions of

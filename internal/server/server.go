@@ -45,7 +45,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,39 +59,25 @@ import (
 type Config struct {
 	// Engine is the condenser engine to serve. When set it is used as-is
 	// (the server attaches its telemetry registry and tracer) and Dim,
-	// Condenser, Shards, Initial, and the deprecated fields are ignored.
-	// When nil, the server constructs an engine from the fields below.
+	// Condenser, Shards, and Initial are ignored. When nil, the server
+	// builds a core.Sharded from the fields below.
 	Engine core.Engine
 	// Dim is the record dimensionality.
 	Dim int
 	// Condenser supplies the condensation configuration (k, options,
-	// seed). Required unless the deprecated K/Options/Seed fields are set.
+	// seed, routing backend). Required when Engine is nil.
 	Condenser *core.Condenser
 	// Shards is the number of independent condenser shards the server
-	// builds when Engine is nil. 0 and 1 both mean a single unsharded
-	// engine guarded by the server's own lock — the exact pre-sharding
-	// serving path; ≥ 2 builds a core.Sharded whose per-shard locks
-	// replace the server's write lock, so concurrent batches only contend
-	// when they route to the same shard.
+	// builds when Engine is nil; values ≤ 1 mean one shard. Each shard has
+	// its own lock, so concurrent batches only contend when they route to
+	// the same shard.
 	Shards int
-	// K is the indistinguishability level.
-	//
-	// Deprecated: set Condenser instead; K is consulted only when
-	// Condenser is nil.
-	K int
-	// Options tunes condensation behaviour.
-	//
-	// Deprecated: set Condenser instead.
-	Options core.Options
-	// Seed seeds the server's split-axis randomness.
-	//
-	// Deprecated: set Condenser instead.
-	Seed uint64
-	// MaxBatch bounds the records accepted per POST (default 10000).
+	// MaxBatch bounds the records accepted per POST (default 10000). It
+	// also bounds the request body size: see maxRecordsBody.
 	MaxBatch int
 	// Initial optionally seeds the server with an existing condensation
-	// (e.g. loaded from a checkpoint); its dim/k/options take precedence
-	// over Dim and over a nil Condenser's defaults.
+	// (e.g. loaded from a checkpoint); its dimensionality takes precedence
+	// over Dim, while k and options come from Condenser.
 	Initial *core.Condensation
 	// Telemetry receives the server's HTTP metrics and, through the
 	// dynamic condenser, the engine's stage timers and group counters. Nil
@@ -137,19 +122,15 @@ type Config struct {
 const defaultAuditSample = 2048
 
 // Server is a thread-safe condensation HTTP service over a core.Engine.
-// For an engine that does not synchronize itself (core.Dynamic), ingestion
-// takes the server's write lock and read handlers share an RLock, so reads
-// never queue behind each other — only behind an in-flight batch ingest.
-// An engine that synchronizes itself (core.Sharded) bypasses the server's
-// lock entirely: concurrent batches then contend per shard, not per
-// server, which is the point of sharding.
+// The engine does its own per-shard locking, so the server holds no lock
+// of its own: concurrent batches contend per shard, and reads never queue
+// behind each other.
 type Server struct {
-	mu       sync.RWMutex
 	eng      core.Engine
-	synced   bool // eng.Synchronized(): skip the server's own lock
 	k        int
 	dim      int
 	maxBatch int
+	maxBody  int64 // POST /v1/records body limit, from maxBatch and dim
 	mux      *http.ServeMux
 	reg      *telemetry.Registry
 	log      *slog.Logger
@@ -163,7 +144,7 @@ type Server struct {
 	// Request-ID minting state: a per-process prefix plus an atomic
 	// counter, so a minted id is one AppendUint into a stack buffer — the
 	// read hot path budgets two allocations for the whole middleware (the
-	// id string and its header slice).
+	// status writer, which also backs the header slice, and the id string).
 	reqPrefix string
 	reqSeq    atomic.Uint64
 
@@ -203,32 +184,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		condenser := cfg.Condenser
-		if condenser == nil {
-			// Legacy configuration path: assemble a facade from the deprecated
-			// positional fields, honouring the checkpoint's k/options when
-			// resuming.
-			k, opts := cfg.K, cfg.Options
-			if cfg.Initial != nil {
-				k, opts = cfg.Initial.K(), cfg.Initial.Options()
-			}
-			var err error
-			condenser, err = core.NewCondenser(k,
-				core.WithSeed(cfg.Seed), core.WithOptions(opts))
-			if err != nil {
-				return nil, err
-			}
+		if cfg.Condenser == nil {
+			return nil, errors.New("server: Config.Condenser is required when Engine is nil")
 		}
+		shards := max(cfg.Shards, 1)
 		var err error
-		switch {
-		case cfg.Shards > 1 && cfg.Initial != nil:
-			eng, err = condenser.ShardedFrom(cfg.Initial, cfg.Shards)
-		case cfg.Shards > 1:
-			eng, err = condenser.Sharded(cfg.Dim, cfg.Shards)
-		case cfg.Initial != nil:
-			eng, err = condenser.DynamicFrom(cfg.Initial)
-		default:
-			eng, err = condenser.Dynamic(cfg.Dim)
+		if cfg.Initial != nil {
+			eng, err = cfg.Condenser.ShardedFrom(cfg.Initial, shards)
+		} else {
+			eng, err = cfg.Condenser.Sharded(cfg.Dim, shards)
 		}
 		if err != nil {
 			return nil, err
@@ -254,10 +218,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		eng:       eng,
-		synced:    eng.Synchronized(),
 		k:         eng.K(),
 		dim:       eng.Dim(),
 		maxBatch:  cfg.MaxBatch,
+		maxBody:   maxRecordsBody(cfg.MaxBatch, eng.Dim()),
 		mux:       http.NewServeMux(),
 		reg:       reg,
 		log:       cfg.Logger,
@@ -306,49 +270,20 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine returns the engine the server serves — for wiring the same
-// engine into other drivers (a stream feeder, a background auditor), not
-// for bypassing the server's locking: callers must respect Synchronized.
+// Engine returns the engine the server serves, for wiring the same
+// engine into other drivers (a stream feeder, a background auditor) or
+// reading its counters. The engine is safe for concurrent use, so such
+// callers need no coordination with the server.
 func (s *Server) Engine() core.Engine { return s.eng }
-
-// lock/unlock bracket engine writes and rlock/runlock engine reads. For a
-// self-synchronizing engine they are no-ops — the engine's per-shard
-// locks already order writes and reads — so the server never stacks a
-// global lock on top of a sharded engine.
-func (s *Server) lock() {
-	if !s.synced {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) unlock() {
-	if !s.synced {
-		s.mu.Unlock()
-	}
-}
-
-func (s *Server) rlock() {
-	if !s.synced {
-		s.mu.RLock()
-	}
-}
-
-func (s *Server) runlock() {
-	if !s.synced {
-		s.mu.RUnlock()
-	}
-}
 
 // The read handlers below share one discipline for generation-keyed
 // memoization: read the generation, probe the cache, and on a miss build
-// the artifact and re-read the generation before installing. For a
-// non-synchronized engine the server's read lock excludes writers, so the
-// re-read always matches and every miss installs. For a self-synchronized
-// engine (rlock is a no-op) writers run concurrently, and a changed
-// generation means the artifact may straddle a mutation — it is then
-// served fresh but neither cached nor stamped with an ETag, after one
-// retry. Stores of a stale generation are refused by the cache itself, so
-// a slow build can never clobber a newer entry.
+// the artifact and re-read the generation before installing. Writers run
+// concurrently with reads, so a changed generation means the artifact may
+// straddle a mutation — it is then served fresh but neither cached nor
+// stamped with an ETag, after one retry. Stores of a stale generation are
+// refused by the cache itself, so a slow build can never clobber a newer
+// entry.
 
 // route registers a handler behind the telemetry middleware: per-endpoint
 // request counter by status class, latency histogram, and the shared
@@ -373,7 +308,8 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 		if !validRequestID(id) {
 			id = s.mintRequestID()
 		}
-		sw.Header()["X-Request-Id"] = []string{id}
+		sw.reqID[0] = id
+		sw.Header()["X-Request-Id"] = sw.reqID[:]
 		// The request span is the root of this request's trace tree; the
 		// span-carrying context flows into the handler so engine spans
 		// (dynamic.add_batch and children) nest under it.
@@ -435,10 +371,13 @@ func requestID(w http.ResponseWriter) string {
 	return ""
 }
 
-// statusWriter captures the response status for the middleware.
+// statusWriter captures the response status for the middleware. reqID
+// backs the X-Request-Id header value, so echoing the id costs no
+// allocation beyond the writer itself.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	reqID  [1]string
 }
 
 func (w *statusWriter) WriteHeader(status int) {
@@ -448,6 +387,15 @@ func (w *statusWriter) WriteHeader(status int) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// maxRecordsBody bounds a POST /v1/records body for a batch limit and a
+// record dimensionality. Each value is budgeted 48 bytes: a float64
+// printed with 17 significant digits, sign, and exponent takes at most 24,
+// which leaves room for its separator and pretty-printing whitespace. Each
+// record adds 32 bytes of brackets and indentation, and the envelope 4 KiB.
+func maxRecordsBody(maxBatch, dim int) int64 {
+	return 4096 + int64(maxBatch)*(48*int64(dim)+32)
+}
 
 // recordsRequest is the POST /v1/records body.
 type recordsRequest struct {
@@ -517,10 +465,24 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
+	// Bound the body before decoding it: a declared oversize body is
+	// refused unread, and an undeclared (chunked) one stops decoding at
+	// the limit.
+	if r.ContentLength > s.maxBody {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("body of %d bytes exceeds limit %d", r.ContentLength, s.maxBody))
+		return
+	}
 	var req recordsRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("body exceeds limit %d bytes", s.maxBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
 		return
 	}
@@ -550,18 +512,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		records[i] = v
 	}
 
-	// Ingest through the batch engine: records are speculatively routed in
-	// parallel and applied sequentially, bit-identical to a record-by-record
-	// Add loop but holding the write lock for far less wall-clock time. The
-	// request context still bounds the apply phase: if the client
-	// disconnects or the deadline passes mid-batch, ingestion stops at a
-	// record boundary instead of holding the lock for the full batch.
+	// Ingest all or nothing: the engine decides cancellation once, before
+	// any record is applied, and then applies the whole batch. A 408 below
+	// therefore means nothing of this batch was condensed, so a client
+	// retry cannot double-ingest.
 	t0 := time.Now()
-	s.lock()
 	err := s.eng.AddBatchContext(r.Context(), records)
 	groups := s.eng.NumGroups()
 	splits := s.eng.Splits()
-	s.unlock()
 	s.log.Debug("ingested batch",
 		slog.String("request_id", requestID(w)),
 		slog.Int("records", len(records)),
@@ -570,15 +528,15 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		slog.Any("err", err))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// 499-style: the client is gone or out of time; the write is
-			// best-effort.
+			// 499-style: the client is gone or out of time, and no record
+			// was applied.
 			writeError(w, http.StatusRequestTimeout, err)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Feed the audit reservoir outside the engine lock: a uniform sample of
+	// Feed the audit reservoir outside the engine locks: a uniform sample of
 	// the accepted originals, retained only for the audit's marginal-KS
 	// comparison and never served.
 	s.reservoir.OfferAll(records)
@@ -631,16 +589,13 @@ var errNoRecords = errors.New("no records condensed yet")
 // per-row copying — and encodes once into a reusable byte slice.
 func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.snapshotAt(gen, seed); ok {
-			s.runlock()
 			s.cmSnapshot.hits.Inc()
 			return b, nil
 		}
 		cond := s.eng.Condensation()
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmSnapshot.misses.Inc()
 		if cond.TotalCount() == 0 {
 			return nil, errNoRecords
@@ -756,7 +711,7 @@ func shardStatsFromSizes(i, k int, sizes []int) shardStats {
 
 // statsLive assembles the stats response from live size data alone: one
 // ShardGroupSizes sweep per shard into a reused buffer, no group cloning
-// or snapshotting. Caller holds the read lock.
+// or snapshotting.
 func (s *Server) statsLive(byShard bool) statsResponse {
 	resp := statsResponse{
 		Dim:    s.dim,
@@ -793,16 +748,13 @@ func (s *Server) statsLive(byShard bool) statsResponse {
 // the per-shard breakdown), memoized per generation.
 func (s *Server) statsBody(byShard bool) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.statsAt(gen, byShard); ok {
-			s.runlock()
 			s.cmStats.hits.Inc()
 			return b, nil
 		}
 		resp := s.statsLive(byShard)
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmStats.misses.Inc()
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -834,9 +786,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if hasShard {
 		// One shard's view alone, for per-shard dashboards and smoke
 		// checks — cheap enough (a size sweep) to always serve live.
-		s.rlock()
 		sizes := s.eng.ShardGroupSizes(shard, nil)
-		s.runlock()
 		writeJSON(w, http.StatusOK, shardStatsFromSizes(shard, s.k, sizes))
 		return
 	}
@@ -855,16 +805,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // both attempts — carries no validator.
 func (s *Server) checkpointBody() (body *respBody, cacheable bool, err error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.checkpointAt(gen); ok {
-			s.runlock()
 			s.cmCheckpoint.hits.Inc()
 			return b, true, nil
 		}
 		cond := s.eng.Condensation()
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmCheckpoint.misses.Inc()
 		var buf bytes.Buffer
 		if _, err := cond.WriteTo(&buf); err != nil {
@@ -965,10 +912,8 @@ func buildVCS() (revision, vcsTime string) {
 // healthSnapshot assembles the /healthz body and its HTTP status — shared
 // by the probe handler and the diagnostics bundle.
 func (s *Server) healthSnapshot() (healthResponse, int) {
-	s.rlock()
 	groups := s.eng.NumGroups()
 	records := s.eng.TotalCount()
-	s.runlock()
 	// The watchdog's worst rule state becomes the probe answer: degraded
 	// stays 200 (the service works, someone should look), failing turns
 	// 503 so orchestrators stop routing to it.
@@ -1031,7 +976,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 }
 
 // Audit runs one anonymization-quality pass over a snapshot of the live
-// condensation (taken under the read lock) and publishes the result into
+// condensation (taken under the shards' read locks) and publishes the result into
 // the server's metrics registry, so /v1/audit and /metrics always agree.
 // It is what the /v1/audit handler and condenserd's background auditor
 // both call. The computation is memoized per (generation, reservoir
@@ -1066,11 +1011,9 @@ func (s *Server) publishAudit(e *auditEntry) {
 // different KS baselines while a batch's offers are still draining.
 func (s *Server) auditPass() (*auditEntry, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		seen := s.reservoir.Seen()
 		if e, ok := s.cache.auditAt(gen, seen); ok {
-			s.runlock()
 			s.cmAudit.hits.Inc()
 			return e, nil
 		}
@@ -1084,7 +1027,6 @@ func (s *Server) auditPass() (*auditEntry, error) {
 		}
 		sample := s.reservoir.Sample()
 		stable := s.eng.Generation() == gen && s.reservoir.Seen() == seen
-		s.runlock()
 		s.cmAudit.misses.Inc()
 		// Leftovers only arise when a static bootstrap folded sub-k
 		// remainders into nearest groups; the engine's counter carries
@@ -1122,9 +1064,7 @@ func (s *Server) auditPass() (*auditEntry, error) {
 // leftover count, and without publishing to the registry — the published
 // condense_audit_* series describe the merged state only.
 func (s *Server) auditShard(i int) (*audit.Report, error) {
-	s.rlock()
 	cond := s.eng.Shard(i)
-	s.runlock()
 	return audit.Compute(cond, audit.Config{SynthSeed: s.auditSeed})
 }
 

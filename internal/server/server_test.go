@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,9 +17,20 @@ import (
 	"condensation/internal/rng"
 )
 
+// testCondenser is the paper-default condenser at level k and the given
+// seed.
+func testCondenser(t *testing.T, k int, seed uint64) *core.Condenser {
+	t.Helper()
+	c, err := core.NewCondenser(k, core.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func newTestServer(t *testing.T, k int) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{Dim: 2, K: k, Seed: 1})
+	s, err := New(Config{Dim: 2, Condenser: testCondenser(t, k, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestBatchLimit(t *testing.T) {
-	s, err := New(Config{Dim: 2, K: 2, Seed: 1, MaxBatch: 5})
+	s, err := New(Config{Dim: 2, Condenser: testCondenser(t, 2, 1), MaxBatch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +428,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// A new server seeded from the checkpoint carries the state forward.
-	s2, err := New(Config{Seed: 9, Initial: cond})
+	s2, err := New(Config{Condenser: testCondenser(t, cond.K(), 9), Initial: cond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,18 +488,18 @@ func TestConcurrentIngest(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0, K: 2}); err == nil {
+	if _, err := New(Config{Dim: 0, Condenser: testCondenser(t, 2, 1)}); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := New(Config{Dim: 2, K: 0}); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := New(Config{Dim: 2}); err == nil {
+		t.Error("missing Condenser accepted")
 	}
 }
 
 // TestIngestCancelledContext verifies the ingestion path honours the
 // request context: a pre-cancelled request admits no records.
 func TestIngestCancelledContext(t *testing.T) {
-	s, err := New(Config{Dim: 2, K: 3})
+	s, err := New(Config{Dim: 2, Condenser: testCondenser(t, 3, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,8 +602,9 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentReadsAndWrites hammers the server with interleaved batch
-// POSTs and read-only GETs. Under -race this proves the RWMutex discipline:
-// reads share the lock among themselves and exclude in-flight ingests.
+// POSTs and read-only GETs. Under -race this proves the engine's per-shard
+// lock discipline: reads share a shard's lock among themselves and exclude
+// in-flight ingests into that shard.
 func TestConcurrentReadsAndWrites(t *testing.T) {
 	ts := newTestServer(t, 4)
 	postRecords(t, ts, genRecords(50, 40)) // non-empty so snapshot serves
@@ -651,5 +664,92 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	}
 	if want := 40 + writers*rounds*50; sr.Records != want {
 		t.Errorf("after concurrent load: %d records, want %d", sr.Records, want)
+	}
+}
+
+// countingReader counts the body bytes a handler actually read.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestRecordsBodyLimit: POST /v1/records bodies are bounded from MaxBatch
+// and the record dimensionality. A maximal batch of 17-significant-digit
+// values, pretty-printed with 4-space indentation, fits; a body one byte
+// over the bound answers 413 and condenses nothing — refused unread when
+// its length is declared, cut off at the bound when it is streamed.
+func TestRecordsBodyLimit(t *testing.T) {
+	const maxBatch, dim = 50, 3
+	s, err := New(Config{Dim: dim, Condenser: testCondenser(t, 4, 1), MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := maxRecordsBody(maxBatch, dim)
+
+	var compact bytes.Buffer
+	compact.WriteString(`{"records":[`)
+	for i := 0; i < maxBatch; i++ {
+		if i > 0 {
+			compact.WriteByte(',')
+		}
+		compact.WriteByte('[')
+		for j := 0; j < dim; j++ {
+			if j > 0 {
+				compact.WriteByte(',')
+			}
+			v := -1.2345678901234567e-300 * float64(1+i*dim+j)
+			compact.WriteString(strconv.FormatFloat(v, 'e', 16, 64))
+		}
+		compact.WriteByte(']')
+	}
+	compact.WriteString(`]}`)
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, compact.Bytes(), "", "    "); err != nil {
+		t.Fatal(err)
+	}
+	if int64(pretty.Len()) > limit {
+		t.Fatalf("maximal pretty-printed batch is %d bytes, over the %d-byte bound", pretty.Len(), limit)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(pretty.Bytes())))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("maximal batch: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	before := s.Engine().TotalCount()
+	if before != maxBatch {
+		t.Fatalf("maximal batch condensed %d records, want %d", before, maxBatch)
+	}
+
+	// One byte over: leading whitespace in front of a valid body, so only
+	// the size can reject it.
+	over := append(bytes.Repeat([]byte(" "), int(limit)+1-compact.Len()), compact.Bytes()...)
+	for _, declared := range []bool{true, false} {
+		body := &countingReader{r: bytes.NewReader(over)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/records", body)
+		if declared {
+			req.ContentLength = int64(len(over))
+		} else {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared=%v: oversize body status %d, want 413", declared, rec.Code)
+		}
+		if declared && body.n != 0 {
+			t.Errorf("declared oversize body was read (%d bytes)", body.n)
+		}
+		if body.n > limit+1 {
+			t.Errorf("declared=%v: read %d bytes past the %d-byte bound", declared, body.n, limit)
+		}
+		if got := s.Engine().TotalCount(); got != before {
+			t.Errorf("declared=%v: oversize body condensed %d records", declared, got-before)
+		}
 	}
 }

@@ -208,8 +208,8 @@ func TestConfigEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dim/Shards/K in the config must be ignored in favour of the engine.
-	s, err := New(Config{Engine: eng, Dim: 99, Shards: 7, K: 55})
+	// Dim/Shards in the config must be ignored in favour of the engine.
+	s, err := New(Config{Engine: eng, Dim: 99, Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

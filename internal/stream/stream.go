@@ -1,6 +1,6 @@
 // Package stream drives the dynamic condensation of Section 3 of the paper
-// over simulated record streams: it feeds records to any core.Engine (a
-// single core.Dynamic or a core.Sharded), optionally interleaving snapshot
+// over simulated record streams: it feeds records to a core.Engine (a
+// core.Sharded, one shard or many), optionally interleaving snapshot
 // callbacks, and can simulate concept drift by re-ordering or shifting the
 // stream. It exists so the dynamic experiments and the streaming example
 // share one tested driver.
@@ -34,12 +34,13 @@ type Driver struct {
 	eng core.Engine
 	// Every n records, the driver records a Snapshot (0 disables).
 	SnapshotEvery int
-	// BatchSize > 1 feeds the condenser through its batch engine
-	// (core.Dynamic.AddBatch) in chunks of at most BatchSize records, each
-	// chunk cut at the next snapshot boundary so the snapshot cadence is
-	// exactly that of per-record feeding. The condensation produced is
-	// bit-identical either way; batching only raises throughput. Values
-	// ≤ 1 feed record by record.
+	// BatchSize > 1 feeds the condenser through its all-or-nothing batch
+	// path (core.Engine.AddBatchContext) in chunks of at most BatchSize
+	// records, each chunk cut at the next snapshot boundary so the
+	// snapshot cadence is exactly that of per-record feeding. The
+	// condensation produced is bit-identical either way; batching only
+	// amortizes per-call locking and span overhead. Values ≤ 1 feed
+	// record by record.
 	BatchSize int
 	snapshots []Snapshot
 	seen      int
@@ -51,9 +52,10 @@ type Driver struct {
 	tr      *telemetry.Tracer
 }
 
-// NewDriver wraps a condenser engine. Existing call sites passing a
-// *core.Dynamic keep compiling — Dynamic implements core.Engine — and a
-// *core.Sharded drops in the same way.
+// NewDriver wraps a condenser engine: the driver calls its Add,
+// AddBatchContext, NumGroups, TotalCount, and Condensation methods. Build
+// one with core.Condenser.Sharded, or ShardedFrom to continue from an
+// initial condensation; one shard is bit-identical to a core.Dynamic.
 func NewDriver(eng core.Engine) (*Driver, error) {
 	if eng == nil {
 		return nil, errors.New("stream: nil condenser engine")
@@ -97,8 +99,9 @@ func (d *Driver) Feed(records []mat.Vector) error {
 
 // FeedContext streams the records in order until the context is done, at
 // which point it stops with the context's error. Records fed before
-// cancellation stay condensed and counted; the driver can keep feeding
-// afterwards with a live context.
+// cancellation stay condensed and counted (with BatchSize > 1 the
+// cancelled chunk is applied whole or not at all); the driver can keep
+// feeding afterwards with a live context.
 func (d *Driver) FeedContext(ctx context.Context, records []mat.Vector) error {
 	ctx, span := d.tr.Start(ctx, "stream.feed")
 	span.SetAttrInt("records", len(records))
@@ -136,7 +139,8 @@ func (d *Driver) FeedContext(ctx context.Context, records []mat.Vector) error {
 
 // feedBatched is the BatchSize > 1 body of FeedContext: it cuts the stream
 // into chunks that never cross a snapshot boundary and ingests each
-// through the condenser's batch engine.
+// through the engine's all-or-nothing batch path, so a cancelled chunk
+// was not applied and counts as undelivered.
 func (d *Driver) feedBatched(ctx context.Context, records []mat.Vector, t0 time.Time, delivered *int, groups0 int) error {
 	for lo := 0; lo < len(records); {
 		hi := lo + d.BatchSize
@@ -150,14 +154,11 @@ func (d *Driver) feedBatched(ctx context.Context, records []mat.Vector, t0 time.
 				hi = next
 			}
 		}
-		before := d.eng.TotalCount()
-		err := d.eng.AddBatchContext(ctx, records[lo:hi])
-		applied := d.eng.TotalCount() - before
-		d.seen += applied
-		*delivered += applied
-		if err != nil {
+		if err := d.eng.AddBatchContext(ctx, records[lo:hi]); err != nil {
 			return fmt.Errorf("stream: batch at record %d: %w", lo, err)
 		}
+		d.seen += hi - lo
+		*delivered += hi - lo
 		if d.SnapshotEvery > 0 && d.seen%d.SnapshotEvery == 0 {
 			d.takeSnapshot(ctx, t0, *delivered, groups0)
 		}

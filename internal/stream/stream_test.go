@@ -22,17 +22,23 @@ func records(seed uint64, n int) []mat.Vector {
 	return out
 }
 
-func newDynamic(t *testing.T, k int) *core.Dynamic {
+// newEngine is a one-shard engine over 2-d records, bit-identical to a
+// core.Dynamic drawing from rng.New(99).
+func newEngine(t *testing.T, k int) core.Engine {
 	t.Helper()
-	dyn, err := core.NewDynamicEmpty(2, k, core.Options{}, rng.New(99))
+	c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(99)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dyn
+	eng, err := c.Sharded(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func TestDriverFeedAndSeen(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func TestDriverFeedAndSeen(t *testing.T) {
 }
 
 func TestDriverSnapshots(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestDriverSnapshots(t *testing.T) {
 }
 
 func TestDriverSnapshotsDisabled(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestDriverSnapshotsDisabled(t *testing.T) {
 }
 
 func TestDriverFeedContextCancelled(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +118,7 @@ func TestNewDriverNil(t *testing.T) {
 }
 
 func TestDriverFeedBadRecord(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 2))
+	d, err := NewDriver(newEngine(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +200,7 @@ func TestDriftedSingleRecord(t *testing.T) {
 // under concept drift.
 func TestDriftStreamKeepsInvariants(t *testing.T) {
 	k := 4
-	dyn := newDynamic(t, k)
-	d, err := NewDriver(dyn)
+	d, err := NewDriver(newEngine(t, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +219,7 @@ func TestDriftStreamKeepsInvariants(t *testing.T) {
 }
 
 func TestDriverTelemetry(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestDriverTelemetry(t *testing.T) {
 }
 
 func TestDriverLogger(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestDriverBatchedFeedEquivalence(t *testing.T) {
 
 	feed := func(batch int) (*Driver, []byte) {
 		t.Helper()
-		d, err := NewDriver(newDynamic(t, 4))
+		d, err := NewDriver(newEngine(t, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,10 +319,10 @@ func TestDriverBatchedFeedEquivalence(t *testing.T) {
 	}
 }
 
-// A cancelled context stops a batched feed at a record boundary and keeps
-// the delivered count honest.
+// A cancelled context stops a batched feed before the chunk is applied
+// and keeps the delivered count honest.
 func TestDriverBatchedFeedCancelled(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+	d, err := NewDriver(newEngine(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,6 @@ const (
 	// EventIndexRebuild marks a centroid-router (re)build: the SearchAuto
 	// scan→kd promotion, or an explicit backend/precision change.
 	EventIndexRebuild = "index_rebuild"
-	// EventSpecFallback marks a batch whose speculation windows re-routed
-	// records live because their candidate group changed mid-window.
-	EventSpecFallback = "spec_fallback"
 	// EventCacheInvalidation marks the server's read cache dropping a
 	// generation's prepared artifacts because the engine moved on.
 	EventCacheInvalidation = "cache_invalidation"
