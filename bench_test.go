@@ -211,13 +211,13 @@ func BenchmarkCoreStaticCondense(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStaticSearch compares the neighbour-search backends behind
-// the Condenser facade on identical inputs; the sub-benchmark names make
-// the scan-sort → quickselect/kd-tree speedup visible in benchstat diffs.
+// BenchmarkCoreStaticSearch compares the static neighbour-search backends
+// behind the Condenser facade on identical inputs: the default quickselect
+// scan against the kd-tree.
 func BenchmarkCoreStaticSearch(b *testing.B) {
 	ds := datagen.Pima(7)
 	for _, search := range []core.NeighborSearch{
-		core.SearchScanSort, core.SearchQuickselect, core.SearchKDTree,
+		core.SearchAuto, core.SearchKDTree,
 	} {
 		b.Run(search.String(), func(b *testing.B) {
 			c, err := core.NewCondenser(25, core.WithSeed(1), core.WithNeighborSearch(search))
@@ -420,7 +420,7 @@ func BenchmarkExtensionNaiveBayes(b *testing.B) {
 func BenchmarkScalingCondense(b *testing.B) {
 	ds := datagen.TwoGaussians(7, 1000, 6, 4)
 	for _, search := range []core.NeighborSearch{
-		core.SearchScanSort, core.SearchQuickselect, core.SearchKDTree,
+		core.SearchAuto, core.SearchKDTree,
 	} {
 		b.Run(search.String(), func(b *testing.B) {
 			c, err := core.NewCondenser(20, core.WithSeed(1), core.WithNeighborSearch(search))

@@ -18,8 +18,7 @@
 //	-synthesis string  "uniform" (paper) or "gaussian" (default uniform)
 //	-seed uint      random seed (default 1)
 //	-initial float  dynamic mode: initial static fraction (default 0.25)
-//	-search string  neighbour search: auto, scan-sort, quickselect, kdtree
-//	-precision string  routing index arithmetic: float64 or float32
+//	-search string  neighbour search: auto, scan-sort, or kdtree
 //	-par int        static distance-sweep parallelism (0 = all CPUs)
 //	-audit          print a per-class privacy-audit report (JSON) to stderr
 //	-trace-out file write a Chrome trace of the condensation pipeline
@@ -64,8 +63,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		synthesis = fs.String("synthesis", "uniform", "synthesis distribution: uniform or gaussian")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		initial   = fs.Float64("initial", 0.25, "dynamic mode: fraction condensed statically up front")
-		search    = fs.String("search", "auto", "static neighbour search: auto, scan-sort, quickselect, or kdtree")
-		precision = fs.String("precision", "float64", "routing index arithmetic: float64, or float32 (prune in single precision, re-verify in float64; identical output)")
+		search    = fs.String("search", "auto", "neighbour search: auto (distance scan; dynamic routing promotes to a kd-index at 256 groups), scan-sort (always scan), or kdtree (always kd-tree: faster on large low-dimensional data, slower on isotropic data with d ≥ 8); output is identical")
 		par       = fs.Int("par", 0, "static distance-sweep parallelism (0 = all CPUs)")
 		stats     = fs.String("stats", "", "optional file to write the per-class condensation statistics (the paper's H sets) to")
 		logLevel  = fs.String("log-level", "warn", "log level: debug, info, warn, error, or off")
@@ -127,10 +125,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	indexPrecision, err := core.ParseIndexPrecision(*precision)
-	if err != nil {
-		return err
-	}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		// A one-shot pipeline run: sample everything.
@@ -142,7 +136,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		core.WithSynthesis(synthMode),
 		core.WithInitialFraction(*initial),
 		core.WithNeighborSearch(searchBackend),
-		core.WithIndexPrecision(indexPrecision),
 		core.WithParallelism(*par),
 		core.WithTracer(tracer))
 	if err != nil {

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	condenserd -addr :8080 -dim 7 -k 25
-//	condenserd -addr :8080 -dim 7 -k 25 -search kdtree
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
 //	condenserd -addr :8080 -resume checkpoint.bin
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
@@ -90,15 +89,33 @@ func main() {
 	}
 }
 
+// Connection timeouts shared by the API and pprof listeners. readTimeout
+// bounds a whole request, headers and body, so a client trickling a large
+// POST cannot hold a connection forever; it leaves a maximal -batch body
+// ample time on a slow link. idleTimeout closes keep-alive connections
+// that sit unused.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds a listener for h on addr with the shared timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // listenAndServe serves h on addr until the context is cancelled (the
 // signal path), then drains in-flight requests with a bounded graceful
 // shutdown so post-serve work (the -trace-out write) still runs.
 func listenAndServe(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(addr, h)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -123,8 +140,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		shards      = fs.Int("shards", 1, "independent condenser shards, each with its own lock (1 = one shard, bit-identical to an unsharded engine)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
-		search      = fs.String("search", "auto", "neighbour-search backend: auto, scan-sort, quickselect, or kdtree")
-		precision   = fs.String("precision", "float64", "routing index arithmetic: float64, or float32 (prune in single precision, re-verify in float64; identical output)")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
@@ -208,18 +223,8 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		fs.Usage()
 		return fmt.Errorf("-dim is required when not resuming from a checkpoint")
 	}
-	searchBackend, err := core.ParseNeighborSearch(*search)
-	if err != nil {
-		return fmt.Errorf("-search: %w", err)
-	}
-	indexPrecision, err := core.ParseIndexPrecision(*precision)
-	if err != nil {
-		return fmt.Errorf("-precision: %w", err)
-	}
 	condenser, err := core.NewCondenser(condenserK,
 		core.WithSeed(*seed), core.WithOptions(condenserOpts),
-		core.WithNeighborSearch(searchBackend),
-		core.WithIndexPrecision(indexPrecision),
 		core.WithTelemetry(reg),
 		core.WithTracer(tracer))
 	if err != nil {
@@ -407,11 +412,7 @@ func serveDebug(addr string, log *slog.Logger) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(addr, mux)
 	log.Info("pprof listening", slog.String("addr", addr))
 	if err := srv.ListenAndServe(); err != nil {
 		log.Error("pprof server stopped", slog.String("error", err.Error()))

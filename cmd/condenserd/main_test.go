@@ -261,29 +261,20 @@ func TestRunTraceOut(t *testing.T) {
 	}
 }
 
-// TestRunSearchFlag covers the routing-backend flag: every
-// backend name serves identically (the backends are exact, so even the
-// ingested state agrees), and unknown names are rejected before listening.
-func TestRunSearchFlag(t *testing.T) {
-	for _, backend := range []string{"auto", "scan-sort", "quickselect", "kdtree"} {
-		h, err := capture(t, []string{"-dim", "2", "-k", "3", "-search", backend})
-		if err != nil {
-			t.Fatalf("-search %s: %v", backend, err)
-		}
-		ts := httptest.NewServer(h)
-		resp, err := http.Post(ts.URL+"/v1/records", "application/json",
-			bytes.NewReader([]byte(`{"records":[[1,2],[3,4],[5,6],[7,8]]}`)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		ts.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("-search %s: ingest status %d", backend, resp.StatusCode)
-		}
+// TestNewHTTPServerTimeouts: both listeners bound header reads, whole
+// requests, and idle keep-alive connections.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler != h {
+		t.Fatalf("server built for %q with handler %v", srv.Addr, srv.Handler)
 	}
-	if _, err := capture(t, []string{"-dim", "2", "-search", "ball-tree"}); err == nil {
-		t.Error("unknown -search backend accepted")
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout < srv.ReadHeaderTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("timeouts: read header %v, read %v, idle %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts differ from the shared constants: %+v", srv)
 	}
 }
 

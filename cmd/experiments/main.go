@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		format  = fs.String("format", "text", "output format: text or csv")
 		knnK    = fs.Int("knn", 1, "nearest-neighbour classifier k")
 		initial = fs.Float64("initial", 0.25, "dynamic mode: initial static fraction")
-		search  = fs.String("search", "auto", "static neighbour search: auto, scan-sort, quickselect, or kdtree")
+		search  = fs.String("search", "auto", "static neighbour search: auto or scan-sort (distance scan), or kdtree (faster on large low-dimensional data, slower on isotropic data with d ≥ 8); output is identical")
 		par     = fs.Int("par", 0, "worker goroutines for experiment cells, synthesis, and classifier scoring (0 = all CPUs; results are identical for every setting)")
 
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")

@@ -42,6 +42,8 @@ type Condenser struct {
 	tel     *telemetry.Registry // nil means telemetry disabled
 	trace   *telemetry.Tracer   // nil means tracing disabled
 	journal *telemetry.Journal  // nil means lifecycle journal disabled
+
+	precision IndexPrecision // only validated; see WithIndexPrecision
 }
 
 // CondenserOption configures a Condenser.
@@ -97,13 +99,12 @@ func WithParallelism(p int) CondenserOption {
 	return func(c *Condenser) { c.search.Parallelism = p }
 }
 
-// WithIndexPrecision selects the dynamic routing index's arithmetic
-// (default Float64). Float32 stores the pruning arena in single precision
-// and re-verifies candidates in float64, so condensed output is
-// bit-identical under either setting — this is a memory-bandwidth knob,
-// not an accuracy trade.
+// WithIndexPrecision names the dynamic routing index's arithmetic. Only
+// Float64 is accepted; NewCondenser rejects any other value.
+//
+// Deprecated: routing is always float64; drop the option.
 func WithIndexPrecision(p IndexPrecision) CondenserOption {
-	return func(c *Condenser) { c.search.Precision = p }
+	return func(c *Condenser) { c.precision = p }
 }
 
 // WithMode selects the construction regime Anonymize uses (default
@@ -153,6 +154,9 @@ func NewCondenser(k int, opts ...CondenserOption) (*Condenser, error) {
 	if err := c.search.validate(); err != nil {
 		return nil, err
 	}
+	if err := c.precision.validate(); err != nil {
+		return nil, err
+	}
 	if c.mode != ModeStatic && c.mode != ModeDynamic {
 		return nil, fmt.Errorf("core: unknown mode %d", int(c.mode))
 	}
@@ -197,8 +201,8 @@ func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]
 
 // Dynamic returns an empty dynamic condenser (Figure 2) over records of
 // the given dimensionality, for pure-stream deployments with no initial
-// database. The Condenser's neighbour-search backend and index precision
-// configure the stream's centroid routing.
+// database. The Condenser's neighbour-search backend configures the
+// stream's centroid routing.
 func (c *Condenser) Dynamic(dim int) (*Dynamic, error) {
 	d, err := NewDynamicEmpty(dim, c.k, c.opts, c.rng())
 	if err != nil {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"condensation/internal/mat"
@@ -32,10 +32,88 @@ func groupKey(g *stats.Group) string {
 	return fmt.Sprintf("n=%d fs=%v sc=%v", g.N(), g.FirstOrderSums(), g.SecondOrderSums())
 }
 
+// fullSortCondense is the reference the search backends are checked
+// against: Figure 1 written plainly, with a full distance scan and a full
+// (distance, record index) sort per group. It keeps the engine's alive-set
+// bookkeeping — swap-delete from the highest chosen position down — so
+// each rng draw samples the same record, and folds leftovers into the
+// nearest group centroid (LeftoverNearestGroup).
+func fullSortCondense(t *testing.T, records []mat.Vector, k int, r *rng.Source) ([]*stats.Group, [][]int) {
+	t.Helper()
+	newGroup := func(idx []int) *stats.Group {
+		g := stats.NewGroup(len(records[0]))
+		for _, i := range idx {
+			if err := g.Add(records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	alive := make([]int, len(records))
+	for i := range alive {
+		alive[i] = i
+	}
+	var groups []*stats.Group
+	var members [][]int
+	for len(alive) >= k {
+		seed := records[alive[r.IntN(len(alive))]]
+		dist := make([]float64, len(alive))
+		order := make([]int, len(alive))
+		for pos, idx := range alive {
+			dist[pos] = seed.DistSq(records[idx])
+			order[pos] = pos
+		}
+		sort.Slice(order, func(a, b int) bool {
+			da, db := dist[order[a]], dist[order[b]]
+			return da < db || da == db && alive[order[a]] < alive[order[b]]
+		})
+		group := make([]int, k)
+		for i, pos := range order[:k] {
+			group[i] = alive[pos]
+		}
+		groups = append(groups, newGroup(group))
+		members = append(members, group)
+		chosen := append([]int(nil), order[:k]...)
+		sort.Sort(sort.Reverse(sort.IntSlice(chosen)))
+		for _, pos := range chosen {
+			last := len(alive) - 1
+			alive[pos] = alive[last]
+			alive = alive[:last]
+		}
+	}
+	if len(alive) == 0 {
+		return groups, members
+	}
+	if len(groups) == 0 {
+		return []*stats.Group{newGroup(alive)}, [][]int{alive}
+	}
+	centroids := make([]mat.Vector, len(groups))
+	for i, g := range groups {
+		m, err := g.Mean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		centroids[i] = m
+	}
+	for _, idx := range alive {
+		best := 0
+		for i, c := range centroids {
+			if records[idx].DistSq(c) < records[idx].DistSq(centroids[best]) {
+				best = i
+			}
+		}
+		if err := groups[best].Add(records[idx]); err != nil {
+			t.Fatal(err)
+		}
+		members[best] = append(members[best], idx)
+	}
+	return groups, members
+}
+
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
-// same rng seed, the quickselect and kd-tree backends must produce groups
-// with aggregate statistics identical (bit for bit — members are added in
-// the same ascending-distance order) to the reference scan-sort path.
+// same rng seed, every backend must produce groups with aggregate
+// statistics identical (bit for bit — members are added in the same
+// ascending-distance order) to the full-sort reference.
 func TestSearchBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, k int
@@ -48,12 +126,8 @@ func TestSearchBackendEquivalence(t *testing.T) {
 		{35, 2, 50},  // fewer records than k: single undersized group
 	} {
 		records := gaussianRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
-		reference, refMembers, err := staticCondense(context.Background(), records, tc.k, rng.New(9), Options{},
-			searchConfig{Search: SearchScanSort}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, search := range []NeighborSearch{SearchAuto, SearchQuickselect, SearchKDTree} {
+		refGroups, refMembers := fullSortCondense(t, records, tc.k, rng.New(9))
+		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 			c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(search))
 			if err != nil {
 				t.Fatal(err)
@@ -62,11 +136,10 @@ func TestSearchBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d k=%d %v: %v", tc.n, tc.k, search, err)
 			}
-			if cond.NumGroups() != reference.NumGroups() {
+			if cond.NumGroups() != len(refGroups) {
 				t.Fatalf("n=%d k=%d %v: %d groups, reference has %d",
-					tc.n, tc.k, search, cond.NumGroups(), reference.NumGroups())
+					tc.n, tc.k, search, cond.NumGroups(), len(refGroups))
 			}
-			refGroups := reference.Groups()
 			gotGroups := cond.Groups()
 			for gi := range refGroups {
 				want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
@@ -242,8 +315,19 @@ func TestCondenserValidation(t *testing.T) {
 	}
 }
 
+// TestIndexPrecisionOnlyFloat64: the deprecated precision option accepts
+// Float64 and rejects every other value.
+func TestIndexPrecisionOnlyFloat64(t *testing.T) {
+	if _, err := NewCondenser(3, WithIndexPrecision(Float64)); err != nil {
+		t.Fatalf("Float64 rejected: %v", err)
+	}
+	if _, err := NewCondenser(3, WithIndexPrecision(IndexPrecision(1))); err == nil {
+		t.Fatal("IndexPrecision(1) accepted")
+	}
+}
+
 func TestParseNeighborSearch(t *testing.T) {
-	for _, s := range []NeighborSearch{SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree} {
+	for _, s := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 		got, err := ParseNeighborSearch(s.String())
 		if err != nil || got != s {
 			t.Errorf("round-trip %v: got %v, err %v", s, got, err)

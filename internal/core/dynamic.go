@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +54,7 @@ type Dynamic struct {
 	telLabels []string // label pairs applied to every engine series (sharding)
 	tr        *telemetry.Tracer
 
-	search searchConfig     // routing backend + index precision
+	search searchConfig     // routing backend
 	router centroidRouter   // maintained nearest-centroid structure
 	routed int              // records routed, for sampled stage timing
 	eig    mat.EigenScratch // reusable split eigensolve workspaces
@@ -271,13 +272,27 @@ func (d *Dynamic) TotalCount() int { return d.total }
 // Splits returns the number of group splits performed so far.
 func (d *Dynamic) Splits() int { return d.splits }
 
-// validateRecord rejects records the engine cannot condense.
-func (d *Dynamic) validateRecord(x mat.Vector) error {
-	if len(x) != d.dim {
-		return fmt.Errorf("core: stream record dimension %d, want %d", len(x), d.dim)
+// maxMagnitude bounds the attribute values the engines accept. Squares of
+// such values, and their sums over any realistic record count, stay far
+// below the float64 range, so group moments, centroid distances, and
+// split offsets remain finite; a larger finite value could overflow a
+// second-order sum to +Inf and leave routing with no finite distance.
+const maxMagnitude = 1e100
+
+// ErrInvalidRecord is wrapped by every error that rejects a record for
+// its shape or values, so callers can tell bad input from engine faults.
+var ErrInvalidRecord = errors.New("core: invalid record")
+
+// validateRecord rejects records the engines cannot condense: a wrong
+// dimension, or a value that is NaN, infinite, or beyond ±maxMagnitude.
+func validateRecord(x mat.Vector, dim int) error {
+	if len(x) != dim {
+		return fmt.Errorf("%w: dimension %d, want %d", ErrInvalidRecord, len(x), dim)
 	}
-	if !x.IsFinite() {
-		return errors.New("core: stream record has non-finite values")
+	for j, v := range x {
+		if !(math.Abs(v) <= maxMagnitude) {
+			return fmt.Errorf("%w: attribute %d is %g, outside ±%g", ErrInvalidRecord, j, v, maxMagnitude)
+		}
 	}
 	return nil
 }
@@ -299,7 +314,7 @@ func (d *Dynamic) Add(x mat.Vector) error {
 
 // add is Add's body, with sp the sampled per-record span (usually nil).
 func (d *Dynamic) add(x mat.Vector, sp *telemetry.Span) error {
-	if err := d.validateRecord(x); err != nil {
+	if err := validateRecord(x, d.dim); err != nil {
 		return err
 	}
 	if len(d.groups) == 0 {
@@ -323,7 +338,7 @@ func (d *Dynamic) AddBatch(records []mat.Vector) error {
 // stream — is bit-identical to an Add loop over the same records.
 func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
 	for i, x := range records {
-		if err := d.validateRecord(x); err != nil {
+		if err := validateRecord(x, d.dim); err != nil {
 			return fmt.Errorf("core: batch record %d: %w", i, err)
 		}
 	}

@@ -109,21 +109,14 @@ func (k *kdRouter) add(id int) {
 func (*kdRouter) label() string { return "centroid-kdtree" }
 
 // initRouter (re)builds the router for the configured backend and the
-// current group count. SearchScanSort and SearchQuickselect both map to
-// the scan — centroid routing has nothing to sort or select — and
-// SearchAuto starts scanning, promoting to the kd-index once the group
-// count reaches dynamicIndexCutoff (maybePromote).
+// current group count. SearchScanSort pins the scan — centroid routing
+// has nothing to sort — and SearchAuto starts scanning, promoting to the
+// kd-index once the group count reaches dynamicIndexCutoff (maybePromote).
 func (d *Dynamic) initRouter() {
-	switch {
-	case d.search.Precision == Float32:
-		// The float32 index keeps the arena-sweep shape at half the
-		// memory traffic; the kd promotion is skipped so the pruning
-		// sweep stays a single contiguous pass.
-		d.router = newF32Router(d)
-	case d.search.Search == SearchKDTree,
-		d.search.Search == SearchAuto && len(d.groups) >= dynamicIndexCutoff:
+	if d.search.Search == SearchKDTree ||
+		d.search.Search == SearchAuto && len(d.groups) >= dynamicIndexCutoff {
 		d.router = newKDRouter(d)
-	default:
+	} else {
 		d.router = newScanRouter(d)
 	}
 	d.met.withSearchBackend(d.tel, d.router.label(), d.telLabels...)
@@ -140,7 +133,6 @@ func (d *Dynamic) initRouter() {
 // maybePromote upgrades an auto-configured scan router to the kd-index
 // once the group count crosses the cutoff. Called after every group
 // append; both routers are exact, so promotion never changes routing.
-// The float32 router is pinned: it never promotes.
 func (d *Dynamic) maybePromote() {
 	if d.search.Search != SearchAuto || len(d.groups) < dynamicIndexCutoff {
 		return
@@ -159,32 +151,17 @@ func (d *Dynamic) maybePromote() {
 	}
 }
 
-// SetNeighborSearch selects the nearest-centroid routing backend. The
-// scan and quickselect names map to the reference linear scan (routing
-// has no sort to skip); SearchKDTree forces the maintained centroid
-// index; SearchAuto (the default) scans while the group count is small
-// and promotes to the index at dynamicIndexCutoff groups. All backends
-// route identically — TestAddBatchEquivalence proves bit-identical
+// SetNeighborSearch selects the nearest-centroid routing backend.
+// SearchScanSort pins the reference linear scan; SearchKDTree forces the
+// maintained centroid index; SearchAuto (the default) scans while the
+// group count is small and promotes to the index at dynamicIndexCutoff
+// groups. All backends route identically — TestAddBatchEquivalence proves bit-identical
 // condensations — so this is purely a throughput knob.
 func (d *Dynamic) SetNeighborSearch(s NeighborSearch) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
 	d.search.Search = s
-	d.initRouter()
-	return nil
-}
-
-// SetIndexPrecision selects the routing index arithmetic (default
-// Float64). Float32 halves the pruning sweep's memory traffic while the
-// final routing decision is still taken in float64, so the condensed
-// statistics are bit-identical under either setting
-// (TestFloat32RoutingEquivalence).
-func (d *Dynamic) SetIndexPrecision(p IndexPrecision) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	d.search.Precision = p
 	d.initRouter()
 	return nil
 }

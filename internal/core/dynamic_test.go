@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -114,6 +115,16 @@ func TestDynamicAddErrors(t *testing.T) {
 	}
 	if err := dyn.Add(mat.Vector{1, math.Inf(1)}); err == nil {
 		t.Error("non-finite record accepted")
+	}
+	// A finite value whose square overflows would turn the group moments
+	// into +Inf and leave routing without a finite distance.
+	for _, v := range []float64{1e308, -1e101} {
+		if err := dyn.Add(mat.Vector{1, v}); !errors.Is(err, ErrInvalidRecord) {
+			t.Errorf("attribute %g: err %v, want ErrInvalidRecord", v, err)
+		}
+	}
+	if err := dyn.Add(mat.Vector{1, maxMagnitude}); err != nil {
+		t.Errorf("attribute at the magnitude bound rejected: %v", err)
 	}
 }
 

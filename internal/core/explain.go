@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"sort"
 
-	"condensation/internal/kernel"
 	"condensation/internal/mat"
 	"condensation/internal/stats"
 )
@@ -101,15 +99,6 @@ type Explanation struct {
 	// Candidates are the top-M nearest groups in exact (distance, id)
 	// order; Candidates[0] equals *Routed.
 	Candidates []ExplainCandidate `json:"candidates,omitempty"`
-	// F32Active reports whether the float32 shadow index is routing
-	// (SetIndexPrecision(Float32)).
-	F32Active bool `json:"f32_active"`
-	// F32Margin, when F32Active, is the |d32 − d64| error bound the shadow
-	// index would use for this record: candidates within 2·margin of the
-	// float32 minimum are re-verified in float64. A margin much smaller
-	// than the gap between Candidates[0] and Candidates[1] explains why
-	// float32 pruning is safe for this data scale.
-	F32Margin float64 `json:"f32_margin,omitempty"`
 }
 
 // groupInfoAt summarizes group slot i. Read-only; caller holds the lock.
@@ -192,26 +181,13 @@ func (d *Dynamic) groupDetailAt(i int) GroupDetail {
 // whether Explain was called or not. Callers sharing the engine across
 // goroutines need only a read lock.
 func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := d.validateRecord(x); err != nil {
+	if err := validateRecord(x, d.dim); err != nil {
 		return nil, err
 	}
 	if top <= 0 {
 		top = explainDefaultTop
 	}
 	ex := &Explanation{Shard: d.shardIndex, Generation: d.lastMut, Groups: len(d.groups)}
-	if r, ok := d.router.(*f32Router); ok {
-		// Report the margin the shadow index would bound this query with —
-		// computed against a local copy of the running maximum so the
-		// dry-run never widens the router's own bound.
-		ex.F32Active = true
-		maxAbs := r.maxAbs
-		for _, v := range x {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		ex.F32Margin = kernel.MarginF32(d.dim, maxAbs)
-	}
 	if len(d.groups) == 0 {
 		ex.Outcome = ExplainFound
 		return ex, nil
@@ -288,7 +264,7 @@ func (s *Sharded) GroupByID(id uint64) (GroupDetail, bool) {
 // shard's read lock — strictly side-effect-free, concurrent with ingest on
 // every other shard.
 func (s *Sharded) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := s.validateRecord(x); err != nil {
+	if err := validateRecord(x, s.dim); err != nil {
 		return nil, err
 	}
 	sh := s.shards[s.shardOf(x)]

@@ -8,28 +8,29 @@ import (
 	"condensation/internal/kernel"
 )
 
-// NeighborSearch selects how the static construction finds the k−1 nearest
-// not-yet-grouped records for each sampled seed. All backends are exact:
-// with distinct pairwise distances they form identical groups; ties are
-// broken by ascending record index in every backend except SearchScanSort,
-// whose tie order is whatever the sort happens to produce.
+// NeighborSearch selects how nearest neighbours are found: by the static
+// construction for the k−1 nearest not-yet-grouped records of each
+// sampled seed, and by the dynamic engine for the nearest group centroid.
+// All backends are exact, with ties broken by ascending record (or group)
+// index, so every backend forms identical groups.
 type NeighborSearch int
 
 const (
-	// SearchAuto picks automatically: the quickselect scan, with the
-	// distance sweep parallelized for large remaining sets. This is the
-	// default and the fastest portable choice.
+	// SearchAuto is the default. Static construction runs the distance
+	// scan with a quickselect of the k nearest, the sweep parallelized
+	// for large remaining sets; dynamic routing scans centroids and
+	// promotes to the kd-index once the group count reaches
+	// dynamicIndexCutoff.
 	SearchAuto NeighborSearch = iota
-	// SearchScanSort is the original reference implementation: a full
-	// distance scan followed by a full sort per group, O(n log n) per group
-	// (O(n² log n) overall). Kept for cross-checking the fast paths.
+	// SearchScanSort pins the distance scan: statically the same
+	// quickselect scan as SearchAuto, dynamically the centroid scan
+	// without kd promotion.
 	SearchScanSort
-	// SearchQuickselect scans distances but partially selects the k
-	// smallest instead of sorting all of them, O(n) expected per group.
-	SearchQuickselect
-	// SearchKDTree answers each group's neighbour query from a KD-tree
-	// with tombstone deletion and periodic rebuild — ~O(log n) expected
-	// per query in low dimension, at the cost of tree maintenance.
+	// SearchKDTree answers every query from a kd-tree: statically one
+	// with tombstone deletion and periodic rebuild, dynamically the
+	// maintained centroid index from the first group on. It wins on
+	// large, low-intrinsic-dimension data and loses on isotropic data
+	// of moderate dimension.
 	SearchKDTree
 )
 
@@ -40,8 +41,6 @@ func (s NeighborSearch) String() string {
 		return "auto"
 	case SearchScanSort:
 		return "scan-sort"
-	case SearchQuickselect:
-		return "quickselect"
 	case SearchKDTree:
 		return "kdtree"
 	default:
@@ -57,8 +56,6 @@ func ParseNeighborSearch(name string) (NeighborSearch, error) {
 		return SearchAuto, nil
 	case "scan-sort":
 		return SearchScanSort, nil
-	case "quickselect":
-		return SearchQuickselect, nil
 	case "kdtree":
 		return SearchKDTree, nil
 	default:
@@ -68,7 +65,7 @@ func ParseNeighborSearch(name string) (NeighborSearch, error) {
 
 func (s NeighborSearch) validate() error {
 	switch s {
-	case SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree:
+	case SearchAuto, SearchScanSort, SearchKDTree:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown neighbour search %d", int(s))
@@ -85,18 +82,9 @@ type searchConfig struct {
 	// Parallelism bounds the worker goroutines of the distance sweep;
 	// values < 1 mean runtime.NumCPU().
 	Parallelism int
-	// Precision selects the arithmetic of the dynamic routing index
-	// (default Float64, the exact reference; Float32 prunes in single
-	// precision and re-verifies candidates in float64 — see precision.go).
-	Precision IndexPrecision
 }
 
-func (c searchConfig) validate() error {
-	if err := c.Search.validate(); err != nil {
-		return err
-	}
-	return c.Precision.validate()
-}
+func (c searchConfig) validate() error { return c.Search.validate() }
 
 // workers resolves the effective worker count.
 func (c searchConfig) workers() int {

@@ -272,22 +272,10 @@ func (s *Sharded) Splits() int {
 	return n
 }
 
-// validateRecord rejects records the engine cannot condense, before any
-// shard is touched.
-func (s *Sharded) validateRecord(x mat.Vector) error {
-	if len(x) != s.dim {
-		return fmt.Errorf("core: stream record dimension %d, want %d", len(x), s.dim)
-	}
-	if !x.IsFinite() {
-		return errors.New("core: stream record has non-finite values")
-	}
-	return nil
-}
-
 // Add routes one record to its shard and ingests it under that shard's
 // lock.
 func (s *Sharded) Add(x mat.Vector) error {
-	if err := s.validateRecord(x); err != nil {
+	if err := validateRecord(x, s.dim); err != nil {
 		return err
 	}
 	sh := s.shards[s.shardOf(x)]
@@ -312,7 +300,7 @@ func (s *Sharded) Add(x mat.Vector) error {
 // reporting is deterministic too.
 func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) error {
 	for i, x := range records {
-		if err := s.validateRecord(x); err != nil {
+		if err := validateRecord(x, s.dim); err != nil {
 			return fmt.Errorf("core: batch record %d: %w", i, err)
 		}
 	}

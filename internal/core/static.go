@@ -72,11 +72,8 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 	}
 	dim := len(records[0])
 	for i, x := range records {
-		if len(x) != dim {
-			return nil, nil, fmt.Errorf("core: record %d has dimension %d, want %d", i, len(x), dim)
-		}
-		if !x.IsFinite() {
-			return nil, nil, fmt.Errorf("core: record %d has non-finite values", i)
+		if err := validateRecord(x, dim); err != nil {
+			return nil, nil, fmt.Errorf("core: record %d: %w", i, err)
 		}
 	}
 
@@ -259,29 +256,26 @@ func newNeighborSearcher(records []mat.Vector, cfg searchConfig) (neighborSearch
 			copy(arena[i*dim:(i+1)*dim], x)
 		}
 		return &scanSearcher{
-			dim:      dim,
-			arena:    arena,
-			alive:    alive,
-			fullSort: cfg.Search == SearchScanSort,
-			workers:  cfg.workers(),
-			dist:     make([]float64, len(records)),
-			order:    make([]int, len(records)),
-			chosen:   make([]int, 0, len(records)),
+			dim:     dim,
+			arena:   arena,
+			alive:   alive,
+			workers: cfg.workers(),
+			dist:    make([]float64, len(records)),
+			order:   make([]int, len(records)),
+			chosen:  make([]int, 0, len(records)),
 		}, nil
 	}
 }
 
 // scanSearcher finds neighbours by sweeping distances over the alive set —
-// in parallel chunks when the set is large — and then either quickselecting
-// the k nearest (default) or fully sorting (the scan-sort reference). The
-// dist/order/chosen scratch slices are allocated once and reused across
-// groups.
+// in parallel chunks when the set is large — and then quickselecting the k
+// nearest. The dist/order/chosen scratch slices are allocated once and
+// reused across groups.
 type scanSearcher struct {
-	dim      int
-	arena    []float64 // flat row-major coordinates, row i = record alive[i]
-	alive    []int
-	fullSort bool
-	workers  int
+	dim     int
+	arena   []float64 // flat row-major coordinates, row i = record alive[i]
+	alive   []int
+	workers int
 
 	dist   []float64 // distance from the current seed, by alive position
 	order  []int     // alive positions, permuted during selection
@@ -301,11 +295,7 @@ func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
 	for i := range order {
 		order[i] = i
 	}
-	if s.fullSort {
-		sort.Slice(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
-	} else {
-		selectNearest(order, dist, s.alive, k)
-	}
+	selectNearest(order, dist, s.alive, k)
 
 	group := make([]int, k)
 	for i, pos := range order[:k] {

@@ -78,9 +78,9 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 }
 
 // withSearchBackend attaches the neighbor_search stage series for the
-// named backend ("quickselect", "scan-sort", "kdtree", or the dynamic
-// engine's "centroid-scan"), carrying the same extra labels as the other
-// engine series.
+// named backend ("quickselect" or "kdtree" statically, the dynamic
+// engine's "centroid-scan" or "centroid-kdtree"), carrying the same extra
+// labels as the other engine series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
 	if reg == nil {
 		return
@@ -90,12 +90,12 @@ func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend strin
 }
 
 // searchBackendLabel names the effective static backend for the metric
-// label: SearchAuto resolves to the quickselect scan it actually runs.
+// label: SearchAuto and SearchScanSort both run the quickselect scan.
 func searchBackendLabel(s NeighborSearch) string {
-	if s == SearchAuto {
-		return SearchQuickselect.String()
+	if s == SearchKDTree {
+		return s.String()
 	}
-	return s.String()
+	return "quickselect"
 }
 
 // WithTelemetry attaches a metrics registry to the Condenser: every

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -140,11 +139,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
+	// An explain body carries one record, so it gets a one-record
+	// batch's bound.
 	var req explainRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if !decodeBody(w, r, maxRecordsBody(1, s.dim), &req) {
 		return
 	}
 	if req.Record == nil {

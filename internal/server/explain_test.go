@@ -186,6 +186,56 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainBodyLimit: POST /v1/explain bodies get a one-record batch's
+// bound. A valid request padded with leading whitespace one byte past the
+// bound answers 413, declared or chunked, and leaves the engine untouched.
+func TestExplainBodyLimit(t *testing.T) {
+	const dim = 2
+	s, err := New(Config{Dim: dim, Condenser: testCondenser(t, 4, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range genRecords(5, 20) {
+		if err := s.Engine().Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen, total := s.Engine().Generation(), s.Engine().TotalCount()
+	limit := maxRecordsBody(1, dim)
+	valid := []byte(`{"record":[0.25,-0.5],"top":3}`)
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explain", bytes.NewReader(valid)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid request: status %d (%s)", rec.Code, rec.Body.String())
+	}
+
+	over := append(bytes.Repeat([]byte(" "), int(limit)+1-len(valid)), valid...)
+	for _, declared := range []bool{true, false} {
+		body := &countingReader{r: bytes.NewReader(over)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/explain", body)
+		if declared {
+			req.ContentLength = int64(len(over))
+		} else {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared=%v: oversize body status %d, want 413", declared, rec.Code)
+		}
+		if declared && body.n != 0 {
+			t.Errorf("declared oversize body was read (%d bytes)", body.n)
+		}
+		if body.n > limit+1 {
+			t.Errorf("declared=%v: read %d bytes past the %d-byte bound", declared, body.n, limit)
+		}
+	}
+	if g, n := s.Engine().Generation(), s.Engine().TotalCount(); g != gen || n != total {
+		t.Errorf("engine moved: generation %d -> %d, records %d -> %d", gen, g, total, n)
+	}
+}
+
 func TestRequestIDEchoAndMint(t *testing.T) {
 	ts, _ := newExplainServer(t, 1, nil)
 

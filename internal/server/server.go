@@ -399,7 +399,7 @@ func maxRecordsBody(maxBatch, dim int) int64 {
 
 // recordsRequest is the POST /v1/records body.
 type recordsRequest struct {
-	Records [][]float64 `json:"records"`
+	Records []mat.Vector `json:"records"`
 }
 
 // recordsResponse confirms ingestion: the records accepted by this
@@ -459,31 +459,40 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error(), RequestID: requestID(w)})
 }
 
+// decodeBody decodes the JSON body of r into v, rejecting unknown fields.
+// The body is bounded before it is decoded: a declared oversize body is
+// refused unread, and an undeclared (chunked) one stops decoding at the
+// limit. On failure decodeBody writes the 413 or 400 reply and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.ContentLength > limit {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("body of %d bytes exceeds limit %d", r.ContentLength, limit))
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("body exceeds limit %d bytes", limit))
+			return false
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	// Bound the body before decoding it: a declared oversize body is
-	// refused unread, and an undeclared (chunked) one stops decoding at
-	// the limit.
-	if r.ContentLength > s.maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body of %d bytes exceeds limit %d", r.ContentLength, s.maxBody))
-		return
-	}
 	var req recordsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds limit %d bytes", s.maxBody))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if !decodeBody(w, r, s.maxBody, &req) {
 		return
 	}
 	if len(req.Records) == 0 {
@@ -495,38 +504,25 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d exceeds limit %d", len(req.Records), s.maxBatch))
 		return
 	}
-	// Validate the whole batch before admitting any of it, so a bad row
-	// cannot leave a half-ingested batch.
-	records := make([]mat.Vector, len(req.Records))
-	for i, row := range req.Records {
-		if len(row) != s.dim {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("record %d has dimension %d, want %d", i, len(row), s.dim))
-			return
-		}
-		v := mat.Vector(row)
-		if !v.IsFinite() {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("record %d has non-finite values", i))
-			return
-		}
-		records[i] = v
-	}
-
-	// Ingest all or nothing: the engine decides cancellation once, before
-	// any record is applied, and then applies the whole batch. A 408 below
-	// therefore means nothing of this batch was condensed, so a client
-	// retry cannot double-ingest.
+	// Ingest all or nothing: the engine validates every record and decides
+	// cancellation once, before any record is applied, and then applies
+	// the whole batch. A 400 or 408 below therefore means nothing of this
+	// batch was condensed, so a client retry cannot double-ingest.
 	t0 := time.Now()
-	err := s.eng.AddBatchContext(r.Context(), records)
+	err := s.eng.AddBatchContext(r.Context(), req.Records)
 	groups := s.eng.NumGroups()
 	splits := s.eng.Splits()
 	s.log.Debug("ingested batch",
 		slog.String("request_id", requestID(w)),
-		slog.Int("records", len(records)),
+		slog.Int("records", len(req.Records)),
 		slog.Int("groups", groups),
 		slog.Duration("elapsed", time.Since(t0)),
 		slog.Any("err", err))
 	if err != nil {
+		if errors.Is(err, core.ErrInvalidRecord) {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// 499-style: the client is gone or out of time, and no record
 			// was applied.
@@ -539,8 +535,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	// Feed the audit reservoir outside the engine locks: a uniform sample of
 	// the accepted originals, retained only for the audit's marginal-KS
 	// comparison and never served.
-	s.reservoir.OfferAll(records)
-	writeJSON(w, http.StatusOK, recordsResponse{Accepted: len(records), Groups: groups, Splits: splits})
+	s.reservoir.OfferAll(req.Records)
+	writeJSON(w, http.StatusOK, recordsResponse{Accepted: len(req.Records), Groups: groups, Splits: splits})
 }
 
 // snapshotResponse carries a synthesized anonymized data set.

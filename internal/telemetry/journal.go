@@ -17,7 +17,7 @@ const (
 	// parent id retires and two children are born (paper §3.2).
 	EventSplit = "split"
 	// EventIndexRebuild marks a centroid-router (re)build: the SearchAuto
-	// scan→kd promotion, or an explicit backend/precision change.
+	// scan→kd promotion, or an explicit backend change.
 	EventIndexRebuild = "index_rebuild"
 	// EventCacheInvalidation marks the server's read cache dropping a
 	// generation's prepared artifacts because the engine moved on.
@@ -65,12 +65,9 @@ type JournalEvent struct {
 // events are rare (splits, rebuilds, transitions), so completeness is
 // affordable and is what makes lineage reconstruction trustworthy.
 type Journal struct {
-	mu      sync.Mutex
-	ring    []JournalEvent
-	next    int    // ring slot for the next event
-	filled  int    // events currently held (≤ len(ring))
-	seq     uint64 // events ever recorded; stamps JournalEvent.Seq
-	dropped uint64 // events overwritten by newer ones
+	mu   sync.Mutex
+	ring ring[JournalEvent]
+	seq  uint64 // events ever recorded; stamps JournalEvent.Seq
 }
 
 // defaultJournalCapacity bounds the ring when NewJournal is given a
@@ -83,7 +80,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = defaultJournalCapacity
 	}
-	return &Journal{ring: make([]JournalEvent, capacity)}
+	return &Journal{ring: make(ring[JournalEvent], capacity)}
 }
 
 // Record stamps ev with the next sequence number and the current time and
@@ -97,13 +94,7 @@ func (j *Journal) Record(ev JournalEvent) {
 	j.seq++
 	ev.Seq = j.seq
 	ev.Time = time.Now()
-	if j.filled == len(j.ring) {
-		j.dropped++
-	} else {
-		j.filled++
-	}
-	j.ring[j.next] = ev
-	j.next = (j.next + 1) % len(j.ring)
+	j.ring.push(j.seq, ev)
 	j.mu.Unlock()
 }
 
@@ -131,8 +122,8 @@ func (j *Journal) Events(last int, types ...string) []JournalEvent {
 	defer j.mu.Unlock()
 	var out []JournalEvent
 	// Walk newest to oldest, collect matches up to last, then reverse.
-	for i := 1; i <= j.filled; i++ {
-		ev := j.ring[(j.next-i+len(j.ring))%len(j.ring)]
+	for i := 0; i < j.ring.held(j.seq); i++ {
+		ev := j.ring.newest(j.seq, i)
 		if !wanted(ev.Type) {
 			continue
 		}
@@ -154,7 +145,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.filled
+	return j.ring.held(j.seq)
 }
 
 // Seq returns the number of events ever recorded — the Seq stamp of the
@@ -175,7 +166,7 @@ func (j *Journal) Dropped() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dropped
+	return j.seq - uint64(j.ring.held(j.seq))
 }
 
 // Capacity returns the ring capacity (0 for a nil journal).

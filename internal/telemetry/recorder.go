@@ -29,9 +29,7 @@ type Recorder struct {
 
 	mu         sync.Mutex
 	collectors []func()
-	ring       []Window
-	next       int                 // ring slot for the next window
-	filled     int                 // windows currently held (≤ len(ring))
+	ring       ring[Window]
 	seq        uint64              // windows ever recorded
 	prevC      map[string]uint64   // last counter values, for deltas
 	prevH      map[string]histPrev // last histogram states, for deltas
@@ -57,7 +55,7 @@ func NewRecorder(reg *Registry, capacity int) *Recorder {
 	}
 	return &Recorder{
 		reg:   reg,
-		ring:  make([]Window, capacity),
+		ring:  make(ring[Window], capacity),
 		prevC: make(map[string]uint64),
 		prevH: make(map[string]histPrev),
 	}
@@ -207,11 +205,7 @@ func (r *Recorder) Scrape() Window {
 			r.prevH[id] = histPrev{count: s.Count, sum: s.Sum, buckets: s.Buckets}
 		}
 	}
-	if r.filled < len(r.ring) {
-		r.filled++
-	}
-	r.ring[r.next] = w
-	r.next = (r.next + 1) % len(r.ring)
+	r.ring.push(r.seq, w)
 	return w
 }
 
@@ -241,7 +235,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.filled
+	return r.ring.held(r.seq)
 }
 
 // Capacity returns the ring capacity in windows.
@@ -272,16 +266,7 @@ func (r *Recorder) Windows(last int) []Window {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.filled
-	if last > 0 && last < n {
-		n = last
-	}
-	out := make([]Window, n)
-	start := (r.next - n + len(r.ring)) % len(r.ring)
-	for i := 0; i < n; i++ {
-		out[i] = r.ring[(start+i)%len(r.ring)]
-	}
-	return out
+	return r.ring.last(r.seq, last)
 }
 
 // LastWindow returns the most recent window, if any.

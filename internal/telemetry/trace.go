@@ -38,12 +38,9 @@ type Tracer struct {
 	starts      atomic.Uint64 // root-start counter driving the sampler
 	ids         atomic.Uint64 // span id allocator (0 is reserved for "no parent")
 
-	mu      sync.Mutex
-	ring    []SpanEvent
-	next    int    // ring slot for the next completed span
-	filled  int    // completed spans currently held (≤ len(ring))
-	total   uint64 // completed spans ever recorded
-	dropped uint64 // completed spans overwritten by newer ones
+	mu    sync.Mutex
+	ring  ring[SpanEvent]
+	total uint64 // completed spans ever recorded
 }
 
 // SpanEvent is one completed span as stored in the ring.
@@ -88,7 +85,7 @@ func NewTracer(capacity, sampleEvery int) *Tracer {
 	}
 	t := &Tracer{
 		epoch: time.Now(),
-		ring:  make([]SpanEvent, capacity),
+		ring:  make(ring[SpanEvent], capacity),
 	}
 	t.sampleEvery.Store(int64(sampleEvery))
 	return t
@@ -192,14 +189,8 @@ func (s *Span) End() {
 // record commits one completed span, overwriting the oldest when full.
 func (t *Tracer) record(ev SpanEvent) {
 	t.mu.Lock()
-	if t.filled == len(t.ring) {
-		t.dropped++
-	} else {
-		t.filled++
-	}
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % len(t.ring)
 	t.total++
+	t.ring.push(t.total, ev)
 	t.mu.Unlock()
 }
 
@@ -210,7 +201,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.filled
+	return t.ring.held(t.total)
 }
 
 // Dropped returns the number of completed spans overwritten by newer ones
@@ -221,7 +212,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.total - uint64(t.ring.held(t.total))
 }
 
 // Events returns up to last of the most recently completed spans in
@@ -233,17 +224,7 @@ func (t *Tracer) Events(last int) []SpanEvent {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.filled
-	if last > 0 && last < n {
-		n = last
-	}
-	out := make([]SpanEvent, n)
-	// t.next is one past the newest; walk back n slots.
-	start := (t.next - n + len(t.ring)) % len(t.ring)
-	for i := 0; i < n; i++ {
-		out[i] = t.ring[(start+i)%len(t.ring)]
-	}
-	return out
+	return t.ring.last(t.total, last)
 }
 
 // WriteChromeTrace writes up to last buffered spans (≤ 0 for all) as a
