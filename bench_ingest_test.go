@@ -88,11 +88,12 @@ func benchBase(b *testing.B, pool []mat.Vector, groups, k int) *core.Condensatio
 // b.N.
 func benchFresh(b *testing.B, base *core.Condensation, search core.NeighborSearch) *core.Dynamic {
 	b.Helper()
-	dyn, err := core.NewDynamic(base, rng.New(13))
+	c, err := core.NewCondenser(base.K(), core.WithRandomSource(rng.New(13)), core.WithNeighborSearch(search))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := dyn.SetNeighborSearch(search); err != nil {
+	dyn, err := c.DynamicFrom(base)
+	if err != nil {
 		b.Fatal(err)
 	}
 	return dyn

@@ -37,11 +37,12 @@ func TestBitcheckFingerprint(t *testing.T) {
 
 	pool := full[G*k:]
 	for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchKDTree} {
-		dyn, err := core.NewDynamic(base, rng.New(13))
+		c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(13)), core.WithNeighborSearch(search))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dyn.SetNeighborSearch(search); err != nil {
+		dyn, err := c.DynamicFrom(base)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, x := range pool[:2000] {

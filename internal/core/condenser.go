@@ -24,9 +24,10 @@ import (
 //
 // The zero configuration — NewCondenser(k) with no options — reproduces
 // the paper exactly: uniform synthesis, principal-axis splits, leftovers
-// merged into their nearest groups, seed 1, and the exact quickselect
-// neighbour search (which forms the same groups as the paper's full
-// scan-and-sort whenever pairwise distances are distinct).
+// merged into their nearest groups, seed 1, and the exact fused sweep +
+// bounded top-k neighbour search (which forms the same groups as the
+// paper's full scan-and-sort, exact distance ties going to the lower
+// record index).
 //
 // Unless WithRandomSource overrides it, every call derives a fresh rng
 // stream from the configured seed, so calls are independently reproducible
@@ -88,7 +89,7 @@ func WithOptions(o Options) CondenserOption {
 }
 
 // WithNeighborSearch selects the static neighbour-search backend
-// (default SearchAuto: quickselect with a parallel distance sweep).
+// (default SearchAuto: a parallel fused sweep + bounded top-k).
 func WithNeighborSearch(s NeighborSearch) CondenserOption {
 	return func(c *Condenser) { c.search.Search = s }
 }

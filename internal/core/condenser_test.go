@@ -27,6 +27,27 @@ func gaussianRecords(seed uint64, n, d int) []mat.Vector {
 	return out
 }
 
+// latticeRecords returns n records of dimension d on the integer lattice
+// {0, 1, 2}^d, a third of them exact copies of earlier records: distances
+// tie heavily, so every backend's (distance, record index) tie-break
+// decides which records form each group.
+func latticeRecords(seed uint64, n, d int) []mat.Vector {
+	r := rng.New(seed)
+	out := make([]mat.Vector, n)
+	for i := range out {
+		if i > 0 && r.IntN(3) == 0 {
+			out[i] = out[r.IntN(i)].Clone()
+			continue
+		}
+		v := make(mat.Vector, d)
+		for j := range v {
+			v[j] = float64(r.IntN(3))
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // groupKey renders a group's exact aggregate statistics for comparison.
 func groupKey(g *stats.Group) string {
 	return fmt.Sprintf("n=%d fs=%v sc=%v", g.N(), g.FirstOrderSums(), g.SecondOrderSums())
@@ -113,19 +134,28 @@ func fullSortCondense(t *testing.T, records []mat.Vector, k int, r *rng.Source) 
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
 // same rng seed, every backend must produce groups with aggregate
 // statistics identical (bit for bit — members are added in the same
-// ascending-distance order) to the full-sort reference.
+// ascending-distance order) to the full-sort reference, and the same
+// member record indices. The lattice cases tie heavily, so only the
+// (distance, record index) tie-break picks among duplicate records.
 func TestSearchBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, k int
+		lattice bool
 	}{
-		{60, 2, 5},
-		{237, 3, 10}, // leftovers exercise the nearest-group fold-in
-		{500, 4, 25}, // multiple kd-tree rebuilds
-		{120, 8, 7},  // moderate dimension
-		{40, 2, 40},  // one group swallows everything
-		{35, 2, 50},  // fewer records than k: single undersized group
+		{60, 2, 5, false},
+		{237, 3, 10, false}, // leftovers exercise the nearest-group fold-in
+		{500, 4, 25, false}, // multiple kd-tree rebuilds
+		{120, 8, 7, false},  // moderate dimension
+		{40, 2, 40, false},  // one group swallows everything
+		{35, 2, 50, false},  // fewer records than k: single undersized group
+		{300, 8, 7, true},   // unrolled d = 8 kernel path
+		{611, 8, 25, true},  // leftovers
+		{200, 2, 10, true},
 	} {
 		records := gaussianRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
+		if tc.lattice {
+			records = latticeRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
+		}
 		refGroups, refMembers := fullSortCondense(t, records, tc.k, rng.New(9))
 		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 			c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(search))
@@ -167,36 +197,46 @@ func TestSearchBackendEquivalence(t *testing.T) {
 }
 
 // TestParallelSweepEquivalence forces the chunked parallel sweep (the
-// cutoff normally hides it at test sizes is bypassed by record count) and
-// checks it against the single-threaded sweep.
+// cutoff that normally hides it at test sizes is bypassed by record count)
+// and checks it against the single-threaded sweep, member for member. On
+// the d = 8 lattice, exact ties straddle the chunk boundaries, so merging
+// the per-worker heaps must apply the record-index tie-break across them.
 func TestParallelSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large record set")
 	}
-	records := gaussianRecords(77, parallelSweepCutoff+500, 3)
-	serial, err := NewCondenser(40, WithSeed(3), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewCondenser(40, WithSeed(3), WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Static(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parallel.Static(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumGroups() != want.NumGroups() {
-		t.Fatalf("parallel sweep: %d groups, serial %d", got.NumGroups(), want.NumGroups())
-	}
-	wantGroups, gotGroups := want.Groups(), got.Groups()
-	for gi := range wantGroups {
-		if groupKey(gotGroups[gi]) != groupKey(wantGroups[gi]) {
-			t.Fatalf("parallel sweep diverged at group %d", gi)
+	for _, tc := range []struct {
+		name    string
+		records []mat.Vector
+	}{
+		{"gaussian-d3", gaussianRecords(77, parallelSweepCutoff+500, 3)},
+		{"lattice-d8", latticeRecords(78, parallelSweepCutoff+500, 8)},
+	} {
+		serial, err := NewCondenser(40, WithSeed(3), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := NewCondenser(40, WithSeed(3), WithParallelism(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantMembers, err := serial.StaticWithMembers(tc.records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotMembers, err := parallel.StaticWithMembers(tc.records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumGroups() != want.NumGroups() {
+			t.Fatalf("%s: parallel sweep: %d groups, serial %d", tc.name, got.NumGroups(), want.NumGroups())
+		}
+		wantGroups, gotGroups := want.Groups(), got.Groups()
+		for gi := range wantGroups {
+			if groupKey(gotGroups[gi]) != groupKey(wantGroups[gi]) ||
+				fmt.Sprint(gotMembers[gi]) != fmt.Sprint(wantMembers[gi]) {
+				t.Fatalf("%s: parallel sweep diverged at group %d", tc.name, gi)
+			}
 		}
 	}
 }

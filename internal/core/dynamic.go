@@ -31,8 +31,8 @@ const searchSampleEvery = 64
 // in steady state. Only aggregate statistics are retained — never the raw
 // stream records.
 //
-// Records are routed through a pluggable nearest-centroid router
-// (SetNeighborSearch): the paper's linear scan, or a maintained kd-index
+// Records are routed through a pluggable nearest-centroid router (the
+// Condenser's WithNeighborSearch): the paper's linear scan, or a maintained kd-index
 // that stays exact under centroid drift and splits. AddBatch ingests a
 // whole batch through the same route-and-absorb steps as Add, after
 // validating all of it.

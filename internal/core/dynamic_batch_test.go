@@ -62,18 +62,21 @@ func TestAddBatchEquivalence(t *testing.T) {
 	const k, dim = 6, 4
 	stream := gaussianRecords(21, 1200, dim)
 
-	build := func(boot bool) *Dynamic {
+	build := func(boot bool, search NeighborSearch) *Dynamic {
 		t.Helper()
+		c, err := NewCondenser(k, WithRandomSource(rng.New(24)), WithNeighborSearch(search))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var d *Dynamic
-		var err error
 		if boot {
 			cond, serr := Static(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
 			if serr != nil {
 				t.Fatal(serr)
 			}
-			d, err = NewDynamic(cond, rng.New(24))
+			d, err = c.DynamicFrom(cond)
 		} else {
-			d, err = NewDynamicEmpty(dim, k, Options{}, rng.New(24))
+			d, err = c.Dynamic(dim)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -83,10 +86,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 
 	for _, boot := range []bool{false, true} {
 		// Reference: sequential Add loop on the scan backend.
-		ref := build(boot)
-		if err := ref.SetNeighborSearch(SearchScanSort); err != nil {
-			t.Fatal(err)
-		}
+		ref := build(boot, SearchScanSort)
 		for _, x := range stream {
 			if err := ref.Add(x); err != nil {
 				t.Fatal(err)
@@ -96,10 +96,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 
 		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 			for _, batch := range []int{1, 7, 256, len(stream)} {
-				d := build(boot)
-				if err := d.SetNeighborSearch(search); err != nil {
-					t.Fatal(err)
-				}
+				d := build(boot, search)
 				for lo := 0; lo < len(stream); lo += batch {
 					hi := lo + batch
 					if hi > len(stream) {
@@ -118,10 +115,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 
 		// The single-record Add path must also agree across backends.
 		for _, search := range []NeighborSearch{SearchAuto, SearchKDTree} {
-			d := build(boot)
-			if err := d.SetNeighborSearch(search); err != nil {
-				t.Fatal(err)
-			}
+			d := build(boot, search)
 			for _, x := range stream {
 				if err := d.Add(x); err != nil {
 					t.Fatal(err)
@@ -249,16 +243,6 @@ func TestDynamicAutoPromotion(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`backend="centroid-kdtree"`)) {
 		t.Error("exposition missing centroid-kdtree neighbor_search series after promotion")
-	}
-}
-
-func TestSetNeighborSearchInvalid(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 2, Options{}, rng.New(46))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetNeighborSearch(NeighborSearch(99)); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }
 

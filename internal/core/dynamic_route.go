@@ -151,22 +151,12 @@ func (d *Dynamic) maybePromote() {
 	}
 }
 
-// SetNeighborSearch selects the nearest-centroid routing backend.
-// SearchScanSort pins the reference linear scan; SearchKDTree forces the
-// maintained centroid index; SearchAuto (the default) scans while the
-// group count is small and promotes to the index at dynamicIndexCutoff
-// groups. All backends route identically — TestAddBatchEquivalence proves bit-identical
-// condensations — so this is purely a throughput knob.
-func (d *Dynamic) SetNeighborSearch(s NeighborSearch) error {
-	if err := s.validate(); err != nil {
-		return err
-	}
-	d.search.Search = s
-	d.initRouter()
-	return nil
-}
-
-// setSearch installs the facade's search configuration.
+// setSearch installs the facade's search configuration: SearchScanSort
+// pins the reference linear scan, SearchKDTree forces the maintained
+// centroid index, and SearchAuto (the default) scans while the group count
+// is small and promotes to the index at dynamicIndexCutoff groups. All
+// backends route identically — TestAddBatchEquivalence proves
+// bit-identical condensations — so this is purely a throughput knob.
 func (d *Dynamic) setSearch(cfg searchConfig) {
 	d.search = cfg
 	d.initRouter()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"condensation/internal/mat"
 	"condensation/internal/rng"
 )
 
@@ -24,6 +26,9 @@ func FuzzReadCondensation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed[:10])
 	f.Add(bytes.Repeat([]byte{0xff}, 80))
+	// A single group with Fs_0 = +Inf: if accepted, the first Add to a
+	// restored engine panics.
+	f.Add(oneGroupCheckpoint(f, map[int]uint64{ckptFs0: math.Float64bits(math.Inf(1))}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCondensation(bytes.NewReader(data))
@@ -45,5 +50,19 @@ func FuzzReadCondensation(f *testing.F) {
 		if again.NumGroups() != got.NumGroups() || again.TotalCount() != got.TotalCount() {
 			t.Fatal("round trip changed group structure")
 		}
+		// A restored engine must absorb a valid record without panicking
+		// (low dimensions only, to keep split eigensolves cheap).
+		if got.Dim() > 16 || got.NumGroups() == 0 {
+			return
+		}
+		c, err := NewCondenser(got.K())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := c.ShardedFrom(got, 1)
+		if err != nil {
+			return
+		}
+		_ = sh.Add(make(mat.Vector, got.Dim()))
 	})
 }

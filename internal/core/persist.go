@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"condensation/internal/stats"
@@ -65,7 +66,9 @@ func (c *Condensation) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadCondensation deserializes a condensation written by WriteTo.
+// ReadCondensation deserializes a condensation written by WriteTo. Every
+// group must carry a positive count and finite moments within the bounds
+// of checkMomentBounds, so a restored engine can absorb records safely.
 func ReadCondensation(r io.Reader) (*Condensation, error) {
 	br := bufio.NewReader(r)
 	read := func() (uint64, error) {
@@ -145,9 +148,31 @@ func ReadCondensation(r io.Reader) (*Condensation, error) {
 		if g.Dim() != dim {
 			return nil, fmt.Errorf("core: group %d has dimension %d, file header says %d", i, g.Dim(), dim)
 		}
+		if err := checkMomentBounds(&g); err != nil {
+			return nil, fmt.Errorf("core: group %d: %w", i, err)
+		}
 		groups = append(groups, &g)
 	}
 	return newCondensation(dim, k, opts, groups), nil
+}
+
+// checkMomentBounds rejects a restored group whose moments no group of n
+// valid records (each attribute within ±maxMagnitude) can have: |Fs_j| >
+// n·maxMagnitude or Sc_jj > n·maxMagnitude². Such a group could overflow
+// its sums to ±Inf on the next absorb, leaving routing with no finite
+// centroid distance.
+func checkMomentBounds(g *stats.Group) error {
+	n := float64(g.N())
+	fs, sc := g.FirstOrderSums(), g.SecondOrderSums()
+	for j, v := range fs {
+		if math.Abs(v) > n*maxMagnitude {
+			return fmt.Errorf("first-order sum %d is %g, beyond n·%g", j, v, maxMagnitude)
+		}
+		if d := sc.At(j, j); d > n*maxMagnitude*maxMagnitude {
+			return fmt.Errorf("second-order sum (%d,%d) is %g, beyond n·%g²", j, j, d, maxMagnitude)
+		}
+	}
+	return nil
 }
 
 // Labeled-container format: per-class condensations for a classification

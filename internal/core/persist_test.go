@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
+	"condensation/internal/mat"
 	"condensation/internal/rng"
+	"condensation/internal/stats"
 )
 
 func TestCondensationRoundTrip(t *testing.T) {
@@ -90,6 +94,84 @@ func TestReadCondensationRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadCondensation(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream accepted")
+	}
+}
+
+// Byte offsets in a one-group, dim-2 checkpoint: the 64-byte file header
+// and the group's 8-byte length, then the group's magic, dim, n, Fs and the
+// upper triangle of Sc.
+const (
+	ckptN    = 72 + 12
+	ckptFs0  = 72 + 20
+	ckptSc00 = ckptFs0 + 16
+	ckptSc01 = ckptSc00 + 8
+	ckptSc11 = ckptSc01 + 8
+)
+
+// oneGroupCheckpoint encodes a k = 2 condensation holding the single group
+// {(1, 2), (3, 4)}, then overwrites the 8-byte word at each offset in
+// patch — the way a corrupted or hostile checkpoint file differs.
+func oneGroupCheckpoint(tb testing.TB, patch map[int]uint64) []byte {
+	tb.Helper()
+	g, err := stats.FromRecords([]mat.Vector{{1, 2}, {3, 4}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := newCondensation(2, 2, Options{}, []*stats.Group{g}).WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	for off, v := range patch {
+		binary.LittleEndian.PutUint64(data[off:off+8], v)
+	}
+	return data
+}
+
+// TestReadCondensationRejectsNonFinite screens restored groups: a group
+// with a non-positive count, a non-finite moment, or moments beyond what
+// n records within ±maxMagnitude can sum to must be refused. Were a
+// checkpoint whose only group has Fs_0 = +Inf accepted, the first Add to
+// a Sharded built from it would panic: routing finds no finite distance.
+func TestReadCondensationRejectsNonFinite(t *testing.T) {
+	bits := math.Float64bits
+	if _, err := ReadCondensation(bytes.NewReader(oneGroupCheckpoint(t, nil))); err != nil {
+		t.Fatalf("valid checkpoint refused: %v", err)
+	}
+	atBound := map[int]uint64{ckptFs0: bits(-2 * maxMagnitude), ckptSc11: bits(2 * maxMagnitude * maxMagnitude)}
+	if _, err := ReadCondensation(bytes.NewReader(oneGroupCheckpoint(t, atBound))); err != nil {
+		t.Fatalf("moments at the magnitude bound refused: %v", err)
+	}
+	for name, patch := range map[string]map[int]uint64{
+		"Fs +Inf":          {ckptFs0: bits(math.Inf(1))},
+		"Fs NaN":           {ckptFs0 + 8: bits(math.NaN())},
+		"Sc -Inf":          {ckptSc00: bits(math.Inf(-1))},
+		"off-diagonal NaN": {ckptSc01: bits(math.NaN())},
+		"n = 0":            {ckptN: 0},
+		"n negative":       {ckptN: 1 << 63},
+		"Fs too large":     {ckptFs0: bits(-2.5 * maxMagnitude)},
+		"Sc too large":     {ckptSc11: bits(2.5 * maxMagnitude * maxMagnitude)},
+	} {
+		data := oneGroupCheckpoint(t, patch)
+		cond, err := ReadCondensation(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("%s: checkpoint accepted", name)
+			// Show what the accepted state does to a restored engine.
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: Add after restore panicked: %v", name, r)
+					}
+				}()
+				c, err := NewCondenser(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sh, err := c.ShardedFrom(cond, 1); err == nil {
+					_ = sh.Add(mat.Vector{1, 1})
+				}
+			}()
+		}
 	}
 }
 

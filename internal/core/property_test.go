@@ -109,12 +109,14 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dyn, err := NewDynamic(cond, r.Split())
+		backends := []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree}
+		c, err := NewCondenser(k, WithRandomSource(r.Split()),
+			WithNeighborSearch(backends[r.IntN(len(backends))]))
 		if err != nil {
 			return false
 		}
-		backends := []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree}
-		if err := dyn.SetNeighborSearch(backends[r.IntN(len(backends))]); err != nil {
+		dyn, err := c.DynamicFrom(cond)
+		if err != nil {
 			return false
 		}
 		total := len(base)

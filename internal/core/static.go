@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"condensation/internal/kernel"
@@ -260,51 +261,43 @@ func newNeighborSearcher(records []mat.Vector, cfg searchConfig) (neighborSearch
 			arena:   arena,
 			alive:   alive,
 			workers: cfg.workers(),
-			dist:    make([]float64, len(records)),
-			order:   make([]int, len(records)),
 			chosen:  make([]int, 0, len(records)),
 		}, nil
 	}
 }
 
-// scanSearcher finds neighbours by sweeping distances over the alive set —
-// in parallel chunks when the set is large — and then quickselecting the k
-// nearest. The dist/order/chosen scratch slices are allocated once and
-// reused across groups.
+// scanSearcher finds neighbours by one fused pass over the alive set that
+// computes distances and keeps a bounded top-k heap — in parallel chunks,
+// one heap per worker, when the set is large. The heaps and the merge
+// buffer are allocated once and reused across groups.
 type scanSearcher struct {
 	dim     int
 	arena   []float64 // flat row-major coordinates, row i = record alive[i]
 	alive   []int
 	workers int
 
-	dist   []float64 // distance from the current seed, by alive position
-	order  []int     // alive positions, permuted during selection
-	chosen []int     // alive positions picked for the current group
+	heaps  [][]kernel.Neighbor // one bounded top-k heap per sweep chunk
+	merged []kernel.Neighbor   // the chunks' candidates, sorted
+	chosen []int               // alive positions picked for the current group
 }
 
 func (s *scanSearcher) remaining() int { return len(s.alive) }
 
 func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
 	seed := s.arena[pick*s.dim : (pick+1)*s.dim]
-	dist := s.dist[:len(s.alive)]
-	sweepArena(dist, seed, s.arena, s.dim, s.workers)
+	nearest := s.nearest(seed, k)
 
-	// Order alive positions by distance to the seed; position `pick` has
-	// distance 0 and is selected first (ties broken by record index).
-	order := s.order[:len(s.alive)]
-	for i := range order {
-		order[i] = i
-	}
-	selectNearest(order, dist, s.alive, k)
-
+	// The seed itself has distance 0 and comes first, unless an exact
+	// duplicate with a lower record index precedes it.
 	group := make([]int, k)
-	for i, pos := range order[:k] {
-		group[i] = s.alive[pos]
+	s.chosen = s.chosen[:0]
+	for i, nb := range nearest {
+		group[i] = nb.ID
+		s.chosen = append(s.chosen, nb.Pos)
 	}
 
 	// Delete the k chosen records from the alive set (descending positions
 	// so swap-delete does not disturb pending positions).
-	s.chosen = append(s.chosen[:0], order[:k]...)
 	sort.Sort(sort.Reverse(sort.IntSlice(s.chosen)))
 	for _, pos := range s.chosen {
 		last := len(s.alive) - 1
@@ -313,6 +306,47 @@ func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
 		s.alive = s.alive[:last]
 	}
 	return group, nil
+}
+
+// nearest returns the k alive rows with the smallest (distance to seed,
+// record index) keys, ascending. Large alive sets are split into at most
+// s.workers chunks, each folded into its own heap by kernel.NearestK; the
+// k smallest of the union of the chunk heaps are the global k smallest,
+// because the key order is total.
+func (s *scanSearcher) nearest(seed []float64, k int) []kernel.Neighbor {
+	n, dim := len(s.alive), s.dim
+	chunk := n
+	if s.workers > 1 && n >= parallelSweepCutoff {
+		chunk = (n + s.workers - 1) / s.workers
+	}
+	chunks := (n + chunk - 1) / chunk
+	for len(s.heaps) < chunks {
+		s.heaps = append(s.heaps, make([]kernel.Neighbor, 0, k))
+	}
+	sweep := func(c int) {
+		lo := c * chunk
+		hi := min(lo+chunk, n)
+		s.heaps[c] = kernel.NearestK(s.heaps[c][:0], seed, s.arena[lo*dim:hi*dim], s.alive[lo:hi], lo, k)
+	}
+	if chunks == 1 {
+		sweep(0)
+	} else {
+		var wg sync.WaitGroup
+		for c := 0; c < chunks; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				sweep(c)
+			}(c)
+		}
+		wg.Wait()
+	}
+	s.merged = s.merged[:0]
+	for _, h := range s.heaps[:chunks] {
+		s.merged = append(s.merged, h...)
+	}
+	kernel.SortNeighbors(s.merged)
+	return s.merged[:k]
 }
 
 func (s *scanSearcher) leftover() []int {

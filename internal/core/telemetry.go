@@ -78,7 +78,7 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 }
 
 // withSearchBackend attaches the neighbor_search stage series for the
-// named backend ("quickselect" or "kdtree" statically, the dynamic
+// named backend ("scan" or "kdtree" statically, the dynamic
 // engine's "centroid-scan" or "centroid-kdtree"), carrying the same extra
 // labels as the other engine series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
@@ -90,12 +90,13 @@ func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend strin
 }
 
 // searchBackendLabel names the effective static backend for the metric
-// label: SearchAuto and SearchScanSort both run the quickselect scan.
+// label: SearchAuto and SearchScanSort both run the fused sweep + bounded
+// top-k scan.
 func searchBackendLabel(s NeighborSearch) string {
 	if s == SearchKDTree {
 		return s.String()
 	}
-	return "quickselect"
+	return "scan"
 }
 
 // WithTelemetry attaches a metrics registry to the Condenser: every

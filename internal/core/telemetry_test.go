@@ -74,7 +74,7 @@ func TestTelemetryStaticCounters(t *testing.T) {
 		t.Errorf("leftover_records = %d, want 3", got)
 	}
 	search := reg.Histogram(metricStageSeconds, nil,
-		"stage", "neighbor_search", "backend", "quickselect")
+		"stage", "neighbor_search", "backend", "scan")
 	if got := search.Count(); got != uint64(cond.NumGroups()) {
 		t.Errorf("neighbor_search observations = %d, want %d", got, cond.NumGroups())
 	}

@@ -18,12 +18,20 @@ func benchArena(rows, dim int) ([]float64, []float64) {
 	return flat, q
 }
 
-func BenchmarkKernelSweep(b *testing.B) {
-	flat, q := benchArena(800, 8)
-	dist := make([]float64, 800)
+// BenchmarkKernelNearestK is one static-condensation neighbour search at
+// the anonymize workload's scale: k = 25 nearest of 50k rows at d = 8.
+func BenchmarkKernelNearestK(b *testing.B) {
+	const rows, k = 50000, 25
+	flat, q := benchArena(rows, 8)
+	ids := make([]int, rows)
+	for i := range ids {
+		ids[i] = i
+	}
+	heap := make([]Neighbor, 0, k)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sweep(dist, q, flat)
+		heap = NearestK(heap[:0], q, flat, ids, 0, k)
 	}
 }
 

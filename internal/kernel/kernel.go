@@ -1,9 +1,10 @@
 // Package kernel holds the cache-blocked, bounds-check-eliminated distance
 // kernels behind the condensation hot loops: one-query-vs-block
-// squared-distance sweeps over a flat row-major []float64 coordinate
-// arena (the knn.CentroidIndex arena layout), and the argmin / top-k
-// reductions that every caller's lexicographic (distance, id)
-// tie-break contract rests on.
+// squared-distance scans over a flat row-major []float64 coordinate arena
+// (the knn.CentroidIndex arena layout), each fused with the reduction that
+// every caller's lexicographic (distance, id) tie-break contract rests on
+// — the argmin folds, and NearestK, the fused sweep + bounded top-k of the
+// static condensation.
 //
 // Bit-identity contract: every float64 kernel accumulates each squared
 // distance with a SINGLE accumulator in ascending index order — the exact
@@ -21,8 +22,9 @@
 package kernel
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DistSq returns the squared Euclidean distance between a and b,
@@ -115,44 +117,6 @@ func distSqBound(a, b []float64, bound float64) (float64, bool) {
 		return s, false
 	}
 	return s, true
-}
-
-// Sweep fills dist[i] with DistSq(q, row i of block), where block is a
-// flat row-major arena of len(dist) rows of len(q) contiguous
-// coordinates. Bit-identical to a gather loop over the same points.
-func Sweep[Q ~[]float64](dist []float64, q Q, block []float64) {
-	d := len(q)
-	if len(block) != len(dist)*d {
-		panic("kernel: arena size mismatch")
-	}
-	if d == 8 {
-		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-		for i := range dist {
-			r := block[i*8 : i*8+8]
-			_ = r[7]
-			d0 := r[0] - q0
-			s := d0 * d0
-			d1 := r[1] - q1
-			s += d1 * d1
-			d2 := r[2] - q2
-			s += d2 * d2
-			d3 := r[3] - q3
-			s += d3 * d3
-			d4 := r[4] - q4
-			s += d4 * d4
-			d5 := r[5] - q5
-			s += d5 * d5
-			d6 := r[6] - q6
-			s += d6 * d6
-			d7 := r[7] - q7
-			s += d7 * d7
-			dist[i] = s
-		}
-		return
-	}
-	for i := range dist {
-		dist[i] = distSqGeneric(block[i*d:i*d+d], q)
-	}
 }
 
 // ArgminFlat scans the rows of a flat arena for the nearest row to q,
@@ -288,71 +252,134 @@ func ArgminIndexed[Q ~[]float64, S ~[]float64](q Q, points []S, ids []int, bestI
 	return bestID, bestD
 }
 
-// TopK arranges order so that its first k entries are the positions of
-// the k smallest (dist[pos], ids[pos]) keys in ascending lexicographic
-// order. It is the quickselect + sort reduction the static condensation
-// backends use; ids carries the tie-breaking identity of each position
-// (e.g. the alive record id). k larger than len(order) selects everything.
-func TopK(order []int, dist []float64, ids []int, k int) {
-	if k < len(order) {
-		quickselect(order, dist, ids, k)
-		order = order[:k]
+// Neighbor is one candidate of a bounded nearest-k search: the squared
+// distance to the query, the row's tie-breaking identity, and the row's
+// position in the caller's arena.
+type Neighbor struct {
+	Dist float64
+	ID   int
+	Pos  int
+}
+
+// before is the lexicographic (distance, id) order every nearest-k caller
+// shares.
+func (a Neighbor) before(b Neighbor) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID)
+}
+
+// NearestK folds the rows of a flat arena into heap, a max-heap (worst key
+// at heap[0]) of at most k neighbours under the (distance, id) order. Row i
+// of block carries identity ids[i] and is recorded at position base+i.
+// Once the heap is full a row enters only if it comes strictly before the
+// worst key — d < worstD, or d == worstD and id < worstID — so folding any
+// split of the rows, in any order, into per-chunk heaps and keeping the k
+// smallest of their union yields exactly the k smallest keys. The heap is
+// caller-owned; with cap(heap) ≥ k the call allocates nothing. Rows whose
+// partial sum already exceeds the worst distance are abandoned early, as
+// in ArgminFlatIDs, and every kept distance is the full bit-exact value.
+func NearestK[Q ~[]float64](heap []Neighbor, q Q, block []float64, ids []int, base, k int) []Neighbor {
+	d := len(q)
+	if len(block) != len(ids)*d {
+		panic("kernel: arena size mismatch")
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return lessByDist(dist, ids, order[a], order[b])
+	i := 0
+	for ; i < len(ids) && len(heap) < k; i++ {
+		heap = append(heap, Neighbor{DistSq(block[i*d:i*d+d], q), ids[i], base + i})
+		siftUp(heap)
+	}
+	if i == len(ids) {
+		return heap
+	}
+	worstD, worstID := heap[0].Dist, heap[0].ID
+	if d == 8 {
+		// Hand-inlined distSqBound with the query hoisted into locals and
+		// one prune check at the halfway point, as in ArgminFlatIDs.
+		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+		for ; i < len(ids); i++ {
+			r := block[i*8 : i*8+8]
+			_ = r[7]
+			d0 := r[0] - q0
+			s := d0 * d0
+			d1 := r[1] - q1
+			s += d1 * d1
+			d2 := r[2] - q2
+			s += d2 * d2
+			d3 := r[3] - q3
+			s += d3 * d3
+			if s > worstD {
+				continue
+			}
+			d4 := r[4] - q4
+			s += d4 * d4
+			d5 := r[5] - q5
+			s += d5 * d5
+			d6 := r[6] - q6
+			s += d6 * d6
+			d7 := r[7] - q7
+			s += d7 * d7
+			if id := ids[i]; s < worstD || (s == worstD && id < worstID) {
+				heap[0] = Neighbor{s, id, base + i}
+				siftDown(heap)
+				worstD, worstID = heap[0].Dist, heap[0].ID
+			}
+		}
+		return heap
+	}
+	for ; i < len(ids); i++ {
+		s, ok := distSqBound(block[i*d:i*d+d], q, worstD)
+		if !ok {
+			continue
+		}
+		if id := ids[i]; s < worstD || (s == worstD && id < worstID) {
+			heap[0] = Neighbor{s, id, base + i}
+			siftDown(heap)
+			worstD, worstID = heap[0].Dist, heap[0].ID
+		}
+	}
+	return heap
+}
+
+// SortNeighbors orders ns ascending under the (distance, id) order — the
+// final step after NearestK, and the merge of several per-chunk heaps.
+func SortNeighbors(ns []Neighbor) {
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
-// lessByDist is the lexicographic (distance, id) order over positions.
-func lessByDist(dist []float64, ids []int, a, b int) bool {
-	if dist[a] != dist[b] {
-		return dist[a] < dist[b]
-	}
-	return ids[a] < ids[b]
-}
-
-// quickselect partitions order so its first k entries hold the k smallest
-// keys (in arbitrary order), by median-of-three Lomuto partitioning.
-func quickselect(order []int, dist []float64, ids []int, k int) {
-	lo, hi := 0, len(order)
-	for hi-lo > 1 {
-		p := partition(order, dist, ids, lo, hi)
-		switch {
-		case p == k:
+// siftUp restores the max-heap after an append at the end of h.
+func siftUp(h []Neighbor) {
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[p].before(h[i]) {
 			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p
 		}
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
 }
 
-// partition picks a median-of-three pivot, moves it to the end, and
-// partitions [lo, hi) around it, returning the pivot's final position.
-func partition(order []int, dist []float64, ids []int, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	if lessByDist(dist, ids, order[mid], order[lo]) {
-		order[mid], order[lo] = order[lo], order[mid]
-	}
-	if lessByDist(dist, ids, order[last], order[lo]) {
-		order[last], order[lo] = order[lo], order[last]
-	}
-	if lessByDist(dist, ids, order[last], order[mid]) {
-		order[last], order[mid] = order[mid], order[last]
-	}
-	order[mid], order[last] = order[last], order[mid]
-	pivot := order[last]
-	store := lo
-	for i := lo; i < last; i++ {
-		if lessByDist(dist, ids, order[i], pivot) {
-			order[i], order[store] = order[store], order[i]
-			store++
+// siftDown restores the max-heap after h[0] was replaced.
+func siftDown(h []Neighbor) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
+		if r := c + 1; r < len(h) && h[c].before(h[r]) {
+			c = r
+		}
+		if !h[i].before(h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	order[store], order[last] = order[last], order[store]
-	return store
 }
 
 // inf is the fold identity for argmin incumbents.

@@ -57,21 +57,6 @@ func TestDistSqMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesDistSq(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	for _, d := range []int{1, 3, 8, 11} {
-		flat, pts := randBlock(r, 57, d)
-		q := randVec(r, d)
-		dist := make([]float64, len(pts))
-		Sweep(dist, q, flat)
-		for i, p := range pts {
-			if math.Float64bits(dist[i]) != math.Float64bits(refDistSq(q, p)) {
-				t.Fatalf("d=%d row=%d: sweep mismatch", d, i)
-			}
-		}
-	}
-}
-
 func TestArgminFlatMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
 	for _, d := range []int{1, 8, 9} {
@@ -151,35 +136,89 @@ func TestArgminIndexedMatchesFold(t *testing.T) {
 	}
 }
 
-func TestTopKMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewPCG(13, 14))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.IntN(120)
-		dist := make([]float64, n)
-		ids := make([]int, n)
-		for i := range dist {
-			dist[i] = float64(r.IntN(12)) // heavy exact ties
-			ids[i] = r.IntN(200)
-		}
-		k := 1 + r.IntN(n+3) // sometimes k > n
-		order := make([]int, n)
-		want := make([]int, n)
-		for i := range order {
-			order[i], want[i] = i, i
-		}
-		sort.SliceStable(want, func(a, b int) bool {
-			return lessByDist(dist, ids, want[a], want[b])
-		})
-		TopK(order, dist, ids, k)
-		top := k
-		if top > n {
-			top = n
-		}
-		for i := 0; i < top; i++ {
-			g, w := order[i], want[i]
-			if dist[g] != dist[w] || ids[g] != ids[w] {
-				t.Fatalf("k=%d pos=%d: got key (%v,%d) want (%v,%d)", k, i, dist[g], ids[g], dist[w], ids[w])
+// latticeBlock returns n rows of dimension d with small integer
+// coordinates, a third of them exact copies of earlier rows, so distances
+// to a lattice query tie heavily.
+func latticeBlock(r *rand.Rand, n, d int) ([]float64, [][]float64) {
+	flat := make([]float64, 0, n*d)
+	pts := make([][]float64, n)
+	for i := range pts {
+		row := make([]float64, d)
+		if i > 0 && r.IntN(3) == 0 {
+			copy(row, pts[r.IntN(i)])
+		} else {
+			for j := range row {
+				row[j] = float64(r.IntN(3))
 			}
 		}
+		pts[i] = row
+		flat = append(flat, row...)
+	}
+	return flat, pts
+}
+
+// TestNearestKMatchesSort checks the fused sweep + bounded top-k against a
+// full sort of every (distance, id) key: lattice data with heavy exact
+// ties, k up to beyond n, and the rows folded through arbitrary chunk
+// splits whose heaps are merged the way the static condensation merges
+// its per-worker heaps.
+func TestNearestKMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(13, 14))
+	for _, d := range []int{1, 3, 8, 11} {
+		for trial := 0; trial < 60; trial++ {
+			n := 1 + r.IntN(150)
+			var flat []float64
+			var pts [][]float64
+			if trial%3 == 0 {
+				flat, pts = randBlock(r, n, d)
+			} else {
+				flat, pts = latticeBlock(r, n, d)
+			}
+			ids := r.Perm(3 * n)[:n] // distinct, in arbitrary order
+			q := make([]float64, d)
+			for j := range q {
+				q[j] = float64(r.IntN(3))
+			}
+			if trial%4 == 0 {
+				copy(q, pts[r.IntN(n)])
+			}
+			want := make([]Neighbor, n)
+			for i, p := range pts {
+				want[i] = Neighbor{refDistSq(q, p), ids[i], i}
+			}
+			sort.Slice(want, func(a, b int) bool { return want[a].before(want[b]) })
+
+			k := 1 + r.IntN(n+3) // sometimes k > n
+			var merged []Neighbor
+			for lo := 0; lo < n; {
+				hi := lo + 1 + r.IntN(n-lo)
+				heap := NearestK(make([]Neighbor, 0, k), q, flat[lo*d:hi*d], ids[lo:hi], lo, k)
+				merged = append(merged, heap...)
+				lo = hi
+			}
+			SortNeighbors(merged)
+			top := min(k, n)
+			if len(merged) < top {
+				t.Fatalf("d=%d n=%d k=%d: %d candidates, want at least %d", d, n, k, len(merged), top)
+			}
+			for i := 0; i < top; i++ {
+				g, w := merged[i], want[i]
+				if g != w || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
+					t.Fatalf("d=%d n=%d k=%d rank %d: got %+v want %+v", d, n, k, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestNearestKNoAllocs(t *testing.T) {
+	flat, q := benchArena(2000, 8)
+	ids := make([]int, 2000)
+	for i := range ids {
+		ids[i] = i
+	}
+	heap := make([]Neighbor, 0, 25)
+	if a := testing.AllocsPerRun(10, func() { heap = NearestK(heap[:0], q, flat, ids, 0, 25) }); a != 0 {
+		t.Fatalf("NearestK allocated %v times per call", a)
 	}
 }

@@ -166,12 +166,7 @@ func (t *DynamicKDTree) search(node *dynNode, query mat.Vector, k int, h *neighb
 	}
 	p := t.points[node.idx]
 	if !node.dead {
-		d := kernel.DistSq(query, p)
-		if len(*h) < k {
-			h.push(Neighbor{Index: node.idx, DistSq: d})
-		} else if d < (*h)[0].DistSq {
-			h.replaceRoot(Neighbor{Index: node.idx, DistSq: d})
-		}
+		h.offer(Neighbor{Index: node.idx, DistSq: kernel.DistSq(query, p)}, k)
 	}
 	diff := query[node.axis] - p[node.axis]
 	near, far := node.left, node.right
@@ -179,7 +174,7 @@ func (t *DynamicKDTree) search(node *dynNode, query mat.Vector, k int, h *neighb
 		near, far = far, near
 	}
 	t.search(near, query, k, h)
-	if len(*h) < k || diff*diff < (*h)[0].DistSq {
+	if len(*h) < k || diff*diff <= (*h)[0].DistSq {
 		t.search(far, query, k, h)
 	}
 }

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"testing"
 
 	"condensation/internal/mat"
@@ -85,6 +86,55 @@ func TestDynamicKDTreeMatchesBruteForceUnderDeletion(t *testing.T) {
 		dead[victim] = true
 		if tree.Len() != len(live)-1 {
 			t.Fatalf("round %d: Len = %d, want %d", round, tree.Len(), len(live)-1)
+		}
+	}
+}
+
+// TestKDTreesBreakTiesByIndex runs both trees on an integer lattice with
+// duplicated points, where nearly every k-th distance is shared by several
+// points: the k returned must be the lowest-index ones, as in bruteAlive.
+func TestKDTreesBreakTiesByIndex(t *testing.T) {
+	r := rng.New(3)
+	points := make([]mat.Vector, 300)
+	for i := range points {
+		v := make(mat.Vector, 3)
+		for j := range v {
+			v[j] = float64(r.IntN(3))
+		}
+		points[i] = v
+	}
+	static, err := NewKDTree(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := NewDynamicKDTree(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := make(map[int]bool)
+	for round := 0; round < 200; round++ {
+		query := points[r.IntN(len(points))]
+		k := 1 + r.IntN(12)
+		got, err := static.Nearest(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteAlive(points, nil, query, k); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: KDTree got %v, want %v", round, got, want)
+		}
+		got, err = dyn.NearestAlive(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteAlive(points, dead, query, k); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: DynamicKDTree got %v, want %v", round, got, want)
+		}
+		victim := r.IntN(len(points))
+		if !dead[victim] {
+			if err := dyn.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			dead[victim] = true
 		}
 	}
 }

@@ -87,12 +87,29 @@ type Neighbor struct {
 	DistSq float64
 }
 
-// neighborHeap is a max-heap on DistSq, so the current worst of the best-k
-// sits at the root and can be evicted in O(log k). The sift operations are
-// hand-rolled rather than going through container/heap, whose interface
-// methods box one Neighbor per push — a per-visited-node allocation in
-// what is the innermost loop of every experiment.
+// neighborHeap is a max-heap under the lexicographic (DistSq, Index)
+// order, so the current worst of the best-k sits at the root and can be
+// evicted in O(log k). The sift operations are hand-rolled rather than
+// going through container/heap, whose interface methods box one Neighbor
+// per push — a per-visited-node allocation in what is the innermost loop
+// of every experiment.
 type neighborHeap []Neighbor
+
+// before is the (DistSq, Index) order: exact distance ties go to the lower
+// index, so the k nearest are unique.
+func (a Neighbor) before(b Neighbor) bool {
+	return a.DistSq < b.DistSq || (a.DistSq == b.DistSq && a.Index < b.Index)
+}
+
+// offer keeps x if the heap holds fewer than k neighbours or x comes
+// before the current worst.
+func (h *neighborHeap) offer(x Neighbor, k int) {
+	if len(*h) < k {
+		h.push(x)
+	} else if x.before((*h)[0]) {
+		h.replaceRoot(x)
+	}
+}
 
 // push appends x and restores the heap invariant (sift up).
 func (h *neighborHeap) push(x Neighbor) {
@@ -101,7 +118,7 @@ func (h *neighborHeap) push(x Neighbor) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s[parent].DistSq >= s[i].DistSq {
+		if !s[parent].before(s[i]) {
 			break
 		}
 		s[parent], s[i] = s[i], s[parent]
@@ -116,10 +133,10 @@ func (h neighborHeap) replaceRoot(x Neighbor) {
 	i := 0
 	for {
 		largest := i
-		if l := 2*i + 1; l < len(h) && h[l].DistSq > h[largest].DistSq {
+		if l := 2*i + 1; l < len(h) && h[largest].before(h[l]) {
 			largest = l
 		}
-		if r := 2*i + 2; r < len(h) && h[r].DistSq > h[largest].DistSq {
+		if r := 2*i + 2; r < len(h) && h[largest].before(h[r]) {
 			largest = r
 		}
 		if largest == i {
@@ -137,7 +154,7 @@ func sortNeighbors(ns []Neighbor) {
 	for i := 1; i < len(ns); i++ {
 		x := ns[i]
 		j := i - 1
-		for j >= 0 && (ns[j].DistSq > x.DistSq || (ns[j].DistSq == x.DistSq && ns[j].Index > x.Index)) {
+		for j >= 0 && x.before(ns[j]) {
 			ns[j+1] = ns[j]
 			j--
 		}
@@ -180,12 +197,7 @@ func (t *KDTree) search(node *kdNode, query mat.Vector, k int, h *neighborHeap) 
 		return
 	}
 	p := t.points[node.idx]
-	d := kernel.DistSq(query, p)
-	if len(*h) < k {
-		h.push(Neighbor{Index: node.idx, DistSq: d})
-	} else if d < (*h)[0].DistSq {
-		h.replaceRoot(Neighbor{Index: node.idx, DistSq: d})
-	}
+	h.offer(Neighbor{Index: node.idx, DistSq: kernel.DistSq(query, p)}, k)
 
 	diff := query[node.axis] - p[node.axis]
 	near, far := node.left, node.right
@@ -193,9 +205,11 @@ func (t *KDTree) search(node *kdNode, query mat.Vector, k int, h *neighborHeap) 
 		near, far = far, near
 	}
 	t.search(near, query, k, h)
-	// Visit the far side only if the splitting plane is closer than the
-	// current k-th best distance (or the heap is not yet full).
-	if len(*h) < k || diff*diff < (*h)[0].DistSq {
+	// Visit the far side only if the splitting plane is no farther than
+	// the current k-th best distance (or the heap is not yet full): a
+	// point on the far side at exactly that distance can still displace
+	// the k-th best on index.
+	if len(*h) < k || diff*diff <= (*h)[0].DistSq {
 		t.search(far, query, k, h)
 	}
 }
@@ -218,12 +232,7 @@ func BruteNearest(points []mat.Vector, query mat.Vector, k int) ([]Neighbor, err
 	}
 	h := make(neighborHeap, 0, k)
 	for i, p := range points {
-		d := kernel.DistSq(query, p)
-		if len(h) < k {
-			h.push(Neighbor{Index: i, DistSq: d})
-		} else if d < h[0].DistSq {
-			h.replaceRoot(Neighbor{Index: i, DistSq: d})
-		}
+		h.offer(Neighbor{Index: i, DistSq: kernel.DistSq(query, p)}, k)
 	}
 	sortNeighbors(h)
 	return h, nil

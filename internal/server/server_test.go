@@ -576,15 +576,12 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := core.NewCondenser(5, core.WithSeed(1))
+	c, err := core.NewCondenser(5, core.WithSeed(1), core.WithNeighborSearch(core.SearchScanSort))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref, err := c.Dynamic(2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetNeighborSearch(core.SearchScanSort); err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range records {

@@ -244,7 +244,8 @@ func (g *Group) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a byte stream produced by MarshalBinary.
+// UnmarshalBinary decodes a byte stream produced by MarshalBinary. Like
+// FromMoments it rejects a non-positive count and non-finite moments.
 func (g *Group) UnmarshalBinary(data []byte) error {
 	if len(data) < 20 {
 		return errors.New("stats: truncated group encoding")
@@ -256,6 +257,9 @@ func (g *Group) UnmarshalBinary(data []byte) error {
 	n := int(binary.LittleEndian.Uint64(data[12:20]))
 	if dim <= 0 || dim > 1<<20 {
 		return fmt.Errorf("stats: implausible dimension %d in encoding", dim)
+	}
+	if n < 1 {
+		return fmt.Errorf("stats: non-positive count %d in encoding", n)
 	}
 	tri := dim * (dim + 1) / 2
 	want := 20 + 8*dim + 8*tri
@@ -276,6 +280,9 @@ func (g *Group) UnmarshalBinary(data []byte) error {
 			sc.Set(i, j, v)
 			sc.Set(j, i, v)
 		}
+	}
+	if !fs.IsFinite() || !sc.IsFinite() {
+		return errors.New("stats: non-finite moments in encoding")
 	}
 	g.dim, g.n, g.fs, g.sc = dim, n, fs, sc
 	return nil
