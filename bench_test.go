@@ -211,26 +211,19 @@ func BenchmarkCoreStaticCondense(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStaticSearch compares the static neighbour-search backends
-// behind the Condenser facade on identical inputs: the default quickselect
-// scan against the kd-tree.
+// BenchmarkCoreStaticSearch times the static neighbour search behind the
+// Condenser facade at Pima size: the fused sweep + bounded top-k.
 func BenchmarkCoreStaticSearch(b *testing.B) {
 	ds := datagen.Pima(7)
-	for _, search := range []core.NeighborSearch{
-		core.SearchAuto, core.SearchKDTree,
-	} {
-		b.Run(search.String(), func(b *testing.B) {
-			c, err := core.NewCondenser(25, core.WithSeed(1), core.WithNeighborSearch(search))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Static(ds.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c, err := core.NewCondenser(25, core.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Static(ds.X); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -416,24 +409,18 @@ func BenchmarkExtensionNaiveBayes(b *testing.B) {
 // BenchmarkScalingCondense isolates the condensation step at the scaling
 // study's largest data-set size (n=2000; the figure-level
 // BenchmarkScalingDatasetSize is dominated by the k-NN evaluation, which
-// the neighbour-search backends do not touch).
+// the neighbour search does not touch).
 func BenchmarkScalingCondense(b *testing.B) {
 	ds := datagen.TwoGaussians(7, 1000, 6, 4)
-	for _, search := range []core.NeighborSearch{
-		core.SearchAuto, core.SearchKDTree,
-	} {
-		b.Run(search.String(), func(b *testing.B) {
-			c, err := core.NewCondenser(20, core.WithSeed(1), core.WithNeighborSearch(search))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Static(ds.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c, err := core.NewCondenser(20, core.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Static(ds.X); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // TestBitcheckFingerprint prints a fingerprint of the full default
 // pipeline: static condensation, dynamic ingest through Add and AddBatch
-// on both routing backends, and seeded synthesis. Run at two commits, the
+// and through Add alone, and seeded synthesis. Run at two commits, the
 // logged hashes must match byte for byte.
 func TestBitcheckFingerprint(t *testing.T) {
 	const dim, k, G = 8, 25, 300
@@ -35,9 +35,14 @@ func TestBitcheckFingerprint(t *testing.T) {
 	}
 	hashCond(base)
 
+	// Two passes of the default engine over the same records: Add ×2000
+	// then AddBatch in 1,024-record chunks (the pool's tail that fills no
+	// chunk is dropped), and a pure Add loop over exactly those records.
+	// Both hash into the fingerprint, so it also pins Add ≡ AddBatch.
 	pool := full[G*k:]
-	for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchKDTree} {
-		c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(13)), core.WithNeighborSearch(search))
+	fed := pool[:2000+(len(pool)-2000)/1024*1024]
+	for _, batched := range []bool{true, false} {
+		c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(13)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,13 +50,17 @@ func TestBitcheckFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, x := range pool[:2000] {
+		singles := fed
+		if batched {
+			singles = fed[:2000]
+		}
+		for _, x := range singles {
 			if err := dyn.Add(x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for lo := 2000; lo+1024 <= len(pool); lo += 1024 {
-			if err := dyn.AddBatch(pool[lo : lo+1024]); err != nil {
+		for lo := len(singles); lo < len(fed); lo += 1024 {
+			if err := dyn.AddBatch(fed[lo : lo+1024]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,7 +18,6 @@
 //	-synthesis string  "uniform" (paper) or "gaussian" (default uniform)
 //	-seed uint      random seed (default 1)
 //	-initial float  dynamic mode: initial static fraction (default 0.25)
-//	-search string  neighbour search: auto, scan-sort, or kdtree
 //	-par int        static distance-sweep parallelism (0 = all CPUs)
 //	-audit          print a per-class privacy-audit report (JSON) to stderr
 //	-trace-out file write a Chrome trace of the condensation pipeline
@@ -63,7 +62,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		synthesis = fs.String("synthesis", "uniform", "synthesis distribution: uniform or gaussian")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		initial   = fs.Float64("initial", 0.25, "dynamic mode: fraction condensed statically up front")
-		search    = fs.String("search", "auto", "neighbour search: auto (distance scan; dynamic routing promotes to a kd-index at 256 groups), scan-sort (always scan), or kdtree (always kd-tree: faster on large low-dimensional data, slower on isotropic data with d ≥ 8); output is identical")
 		par       = fs.Int("par", 0, "static distance-sweep parallelism (0 = all CPUs)")
 		stats     = fs.String("stats", "", "optional file to write the per-class condensation statistics (the paper's H sets) to")
 		logLevel  = fs.String("log-level", "warn", "log level: debug, info, warn, error, or off")
@@ -121,10 +119,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -synthesis %q", *synthesis)
 	}
-	searchBackend, err := core.ParseNeighborSearch(*search)
-	if err != nil {
-		return err
-	}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		// A one-shot pipeline run: sample everything.
@@ -135,7 +129,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		core.WithMode(condenseMode),
 		core.WithSynthesis(synthMode),
 		core.WithInitialFraction(*initial),
-		core.WithNeighborSearch(searchBackend),
 		core.WithParallelism(*par),
 		core.WithTracer(tracer))
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"condensation/internal/core"
 	"condensation/internal/datagen"
 	"condensation/internal/experiments"
 	"condensation/internal/telemetry"
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		format  = fs.String("format", "text", "output format: text or csv")
 		knnK    = fs.Int("knn", 1, "nearest-neighbour classifier k")
 		initial = fs.Float64("initial", 0.25, "dynamic mode: initial static fraction")
-		search  = fs.String("search", "auto", "static neighbour search: auto or scan-sort (distance scan), or kdtree (faster on large low-dimensional data, slower on isotropic data with d ≥ 8); output is identical")
 		par     = fs.Int("par", 0, "worker goroutines for experiment cells, synthesis, and classifier scoring (0 = all CPUs; results are identical for every setting)")
 
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
@@ -65,17 +63,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("exactly one of -fig or -study is required")
 	}
-	searchBackend, err := core.ParseNeighborSearch(*search)
-	if err != nil {
-		return err
-	}
 
 	cfg := experiments.Config{
 		Seed:            *seed,
 		Repetitions:     *reps,
 		ClassifierK:     *knnK,
 		InitialFraction: *initial,
-		Search:          searchBackend,
 		Parallelism:     *par,
 		Logger:          log,
 		LogEvery:        *logEvery,

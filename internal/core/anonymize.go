@@ -47,10 +47,6 @@ type AnonymizeConfig struct {
 	// Values outside (0, 1] fall back to the default 0.25. Ignored for
 	// static mode.
 	InitialFraction float64
-	// Search selects the static neighbour-search backend (default
-	// SearchAuto). It changes speed, never the condensed statistics (up to
-	// distance ties).
-	Search NeighborSearch
 	// Parallelism bounds the static distance sweep's worker goroutines;
 	// values < 1 mean runtime.NumCPU().
 	Parallelism int
@@ -226,10 +222,9 @@ func anonymizeRegression(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source
 // set. The returned condensation inherits cfg.Parallelism for its
 // synthesis fan-out.
 func condenseRecords(recs []mat.Vector, cfg AnonymizeConfig, r *rng.Source) (*Condensation, error) {
-	search := searchConfig{Search: cfg.Search, Parallelism: cfg.Parallelism}
 	switch cfg.Mode {
 	case ModeStatic:
-		cond, _, err := staticCondense(context.Background(), recs, cfg.K, r, cfg.Options, search, cfg.Telemetry, cfg.Tracer)
+		cond, _, err := staticCondense(context.Background(), recs, cfg.K, r, cfg.Options, cfg.Parallelism, cfg.Telemetry, cfg.Tracer)
 		if cond != nil {
 			cond.SetTracer(cfg.Tracer)
 		}
@@ -248,7 +243,7 @@ func condenseRecords(recs []mat.Vector, cfg AnonymizeConfig, r *rng.Source) (*Co
 		if initial > len(recs) {
 			initial = len(recs)
 		}
-		base, _, err := staticCondense(context.Background(), recs[:initial], cfg.K, r, cfg.Options, search, cfg.Telemetry, cfg.Tracer)
+		base, _, err := staticCondense(context.Background(), recs[:initial], cfg.K, r, cfg.Options, cfg.Parallelism, cfg.Telemetry, cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,6 @@ import (
 //	c, err := core.NewCondenser(25,
 //		core.WithSeed(7),
 //		core.WithSynthesis(core.SynthesisUniform),
-//		core.WithNeighborSearch(core.SearchKDTree),
 //		core.WithParallelism(8))
 //	cond, err := c.Static(records)
 //
@@ -37,13 +36,14 @@ type Condenser struct {
 	seed    uint64
 	source  *rng.Source // optional caller-managed stream
 	opts    Options
-	search  searchConfig
+	par     int // distance-sweep and synthesis workers; < 1 means NumCPU
 	mode    Mode
 	initial float64
 	tel     *telemetry.Registry // nil means telemetry disabled
 	trace   *telemetry.Tracer   // nil means tracing disabled
 	journal *telemetry.Journal  // nil means lifecycle journal disabled
 
+	search    NeighborSearch // only validated; see WithNeighborSearch
 	precision IndexPrecision // only validated; see WithIndexPrecision
 }
 
@@ -88,24 +88,10 @@ func WithOptions(o Options) CondenserOption {
 	return func(c *Condenser) { c.opts = o }
 }
 
-// WithNeighborSearch selects the static neighbour-search backend
-// (default SearchAuto: a parallel fused sweep + bounded top-k).
-func WithNeighborSearch(s NeighborSearch) CondenserOption {
-	return func(c *Condenser) { c.search.Search = s }
-}
-
 // WithParallelism bounds the worker goroutines of the static distance
 // sweep; values < 1 (the default) mean runtime.NumCPU().
 func WithParallelism(p int) CondenserOption {
-	return func(c *Condenser) { c.search.Parallelism = p }
-}
-
-// WithIndexPrecision names the dynamic routing index's arithmetic. Only
-// Float64 is accepted; NewCondenser rejects any other value.
-//
-// Deprecated: routing is always float64; drop the option.
-func WithIndexPrecision(p IndexPrecision) CondenserOption {
-	return func(c *Condenser) { c.precision = p }
+	return func(c *Condenser) { c.par = p }
 }
 
 // WithMode selects the construction regime Anonymize uses (default
@@ -180,7 +166,7 @@ func (c *Condenser) rng() *rng.Source {
 }
 
 // Static condenses the records into groups of at least k (Figure 1) using
-// the configured neighbour-search backend and parallelism.
+// the configured parallelism.
 func (c *Condenser) Static(records []mat.Vector) (*Condensation, error) {
 	return c.StaticContext(context.Background(), records)
 }
@@ -189,7 +175,7 @@ func (c *Condenser) Static(records []mat.Vector) (*Condensation, error) {
 // the parent of the pipeline's trace spans (the context is not consulted
 // for cancellation).
 func (c *Condenser) StaticContext(ctx context.Context, records []mat.Vector) (*Condensation, error) {
-	cond, _, err := staticCondense(ctx, records, c.k, c.rng(), c.opts, c.search, c.tel, c.trace)
+	cond, _, err := staticCondense(ctx, records, c.k, c.rng(), c.opts, c.par, c.tel, c.trace)
 	return cond, err
 }
 
@@ -197,19 +183,17 @@ func (c *Condenser) StaticContext(ctx context.Context, records []mat.Vector) (*C
 // records each group condensed — for privacy evaluation and tests only;
 // membership must never leave the trusted collection boundary.
 func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, c.k, c.rng(), c.opts, c.search, c.tel, c.trace)
+	return staticCondense(context.Background(), records, c.k, c.rng(), c.opts, c.par, c.tel, c.trace)
 }
 
 // Dynamic returns an empty dynamic condenser (Figure 2) over records of
 // the given dimensionality, for pure-stream deployments with no initial
-// database. The Condenser's neighbour-search backend configures the
-// stream's centroid routing.
+// database.
 func (c *Condenser) Dynamic(dim int) (*Dynamic, error) {
 	d, err := NewDynamicEmpty(dim, c.k, c.opts, c.rng())
 	if err != nil {
 		return nil, err
 	}
-	d.setSearch(c.search)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
 	d.SetJournal(c.journal)
@@ -230,7 +214,6 @@ func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
 	}
 	d.k = c.k
 	d.opts = c.opts
-	d.setSearch(c.search)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
 	d.SetJournal(c.journal)
@@ -242,7 +225,7 @@ func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
 // one call.
 func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
 	r := c.rng()
-	cond, _, err := staticCondense(context.Background(), initial, c.k, r, c.opts, c.search, c.tel, c.trace)
+	cond, _, err := staticCondense(context.Background(), initial, c.k, r, c.opts, c.par, c.tel, c.trace)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +233,6 @@ func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.setSearch(c.search)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
 	d.SetJournal(c.journal)
@@ -266,8 +248,7 @@ func (c *Condenser) Anonymize(ds *dataset.Dataset) (*dataset.Dataset, *Report, e
 		Mode:            c.mode,
 		Options:         c.opts,
 		InitialFraction: c.initial,
-		Search:          c.search.Search,
-		Parallelism:     c.search.Parallelism,
+		Parallelism:     c.par,
 		Telemetry:       c.tel,
 		Tracer:          c.trace,
 	}

@@ -132,9 +132,9 @@ func fullSortCondense(t *testing.T, records []mat.Vector, k int, r *rng.Source) 
 }
 
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
-// same rng seed, every backend must produce groups with aggregate
-// statistics identical (bit for bit — members are added in the same
-// ascending-distance order) to the full-sort reference, and the same
+// same rng seed, the fused sweep + bounded top-k must produce groups with
+// aggregate statistics identical (bit for bit — members are added in the
+// same ascending-distance order) to the full-sort reference, and the same
 // member record indices. The lattice cases tie heavily, so only the
 // (distance, record index) tie-break picks among duplicate records.
 func TestSearchBackendEquivalence(t *testing.T) {
@@ -144,12 +144,12 @@ func TestSearchBackendEquivalence(t *testing.T) {
 	}{
 		{60, 2, 5, false},
 		{237, 3, 10, false}, // leftovers exercise the nearest-group fold-in
-		{500, 4, 25, false}, // multiple kd-tree rebuilds
-		{120, 8, 7, false},  // moderate dimension
-		{40, 2, 40, false},  // one group swallows everything
-		{35, 2, 50, false},  // fewer records than k: single undersized group
-		{300, 8, 7, true},   // unrolled d = 8 kernel path
-		{611, 8, 25, true},  // leftovers
+		{500, 4, 25, false},
+		{120, 8, 7, false}, // moderate dimension
+		{40, 2, 40, false}, // one group swallows everything
+		{35, 2, 50, false}, // fewer records than k: single undersized group
+		{300, 8, 7, true},  // unrolled d = 8 kernel path
+		{611, 8, 25, true}, // leftovers
 		{200, 2, 10, true},
 	} {
 		records := gaussianRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
@@ -157,39 +157,37 @@ func TestSearchBackendEquivalence(t *testing.T) {
 			records = latticeRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
 		}
 		refGroups, refMembers := fullSortCondense(t, records, tc.k, rng.New(9))
-		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
-			c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(search))
-			if err != nil {
-				t.Fatal(err)
+		c, err := NewCondenser(tc.k, WithSeed(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cond, members, err := c.StaticWithMembers(records)
+		if err != nil {
+			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
+		}
+		if cond.NumGroups() != len(refGroups) {
+			t.Fatalf("n=%d k=%d: %d groups, reference has %d",
+				tc.n, tc.k, cond.NumGroups(), len(refGroups))
+		}
+		gotGroups := cond.Groups()
+		for gi := range refGroups {
+			want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
+			if got != want {
+				t.Errorf("n=%d k=%d group %d:\n got %s\nwant %s",
+					tc.n, tc.k, gi, got, want)
 			}
-			cond, members, err := c.StaticWithMembers(records)
-			if err != nil {
-				t.Fatalf("n=%d k=%d %v: %v", tc.n, tc.k, search, err)
+		}
+		for gi := range refMembers {
+			if len(members[gi]) != len(refMembers[gi]) {
+				t.Errorf("n=%d k=%d group %d: %d members, reference %d",
+					tc.n, tc.k, gi, len(members[gi]), len(refMembers[gi]))
+				continue
 			}
-			if cond.NumGroups() != len(refGroups) {
-				t.Fatalf("n=%d k=%d %v: %d groups, reference has %d",
-					tc.n, tc.k, search, cond.NumGroups(), len(refGroups))
-			}
-			gotGroups := cond.Groups()
-			for gi := range refGroups {
-				want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
-				if got != want {
-					t.Errorf("n=%d k=%d %v group %d:\n got %s\nwant %s",
-						tc.n, tc.k, search, gi, got, want)
-				}
-			}
-			for gi := range refMembers {
-				if len(members[gi]) != len(refMembers[gi]) {
-					t.Errorf("n=%d k=%d %v group %d: %d members, reference %d",
-						tc.n, tc.k, search, gi, len(members[gi]), len(refMembers[gi]))
-					continue
-				}
-				for mi := range refMembers[gi] {
-					if members[gi][mi] != refMembers[gi][mi] {
-						t.Errorf("n=%d k=%d %v group %d member %d: %d, reference %d",
-							tc.n, tc.k, search, gi, mi, members[gi][mi], refMembers[gi][mi])
-						break
-					}
+			for mi := range refMembers[gi] {
+				if members[gi][mi] != refMembers[gi][mi] {
+					t.Errorf("n=%d k=%d group %d member %d: %d, reference %d",
+						tc.n, tc.k, gi, mi, members[gi][mi], refMembers[gi][mi])
+					break
 				}
 			}
 		}
@@ -337,8 +335,13 @@ func TestCondenserValidation(t *testing.T) {
 	if _, err := NewCondenser(2, WithSynthesis(Synthesis(9))); err == nil {
 		t.Error("bad synthesis accepted")
 	}
-	if _, err := NewCondenser(2, WithNeighborSearch(NeighborSearch(9))); err == nil {
-		t.Error("bad search backend accepted")
+	if _, err := NewCondenser(2, WithNeighborSearch(SearchAuto)); err != nil {
+		t.Errorf("SearchAuto rejected: %v", err)
+	}
+	for _, s := range []NeighborSearch{1, 2, 9} {
+		if _, err := NewCondenser(2, WithNeighborSearch(s)); err == nil {
+			t.Errorf("NeighborSearch(%d) accepted", int(s))
+		}
 	}
 	if _, err := NewCondenser(2, WithMode(Mode(9))); err == nil {
 		t.Error("bad mode accepted")
@@ -363,17 +366,5 @@ func TestIndexPrecisionOnlyFloat64(t *testing.T) {
 	}
 	if _, err := NewCondenser(3, WithIndexPrecision(IndexPrecision(1))); err == nil {
 		t.Fatal("IndexPrecision(1) accepted")
-	}
-}
-
-func TestParseNeighborSearch(t *testing.T) {
-	for _, s := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
-		got, err := ParseNeighborSearch(s.String())
-		if err != nil || got != s {
-			t.Errorf("round-trip %v: got %v, err %v", s, got, err)
-		}
-	}
-	if _, err := ParseNeighborSearch("bogus"); err == nil {
-		t.Error("bogus backend accepted")
 	}
 }

@@ -31,9 +31,10 @@ const searchSampleEvery = 64
 // in steady state. Only aggregate statistics are retained — never the raw
 // stream records.
 //
-// Records are routed through a pluggable nearest-centroid router (the
-// Condenser's WithNeighborSearch): the paper's linear scan, or a maintained kd-index
-// that stays exact under centroid drift and splits. AddBatch ingests a
+// Records are routed through a nearest-centroid router chosen by the group
+// count: the paper's linear scan below dynamicIndexCutoff groups, and a
+// maintained kd-index, exact under centroid drift and splits, from there
+// on. AddBatch ingests a
 // whole batch through the same route-and-absorb steps as Add, after
 // validating all of it.
 //
@@ -54,7 +55,6 @@ type Dynamic struct {
 	telLabels []string // label pairs applied to every engine series (sharding)
 	tr        *telemetry.Tracer
 
-	search searchConfig     // routing backend
 	router centroidRouter   // maintained nearest-centroid structure
 	routed int              // records routed, for sampled stage timing
 	eig    mat.EigenScratch // reusable split eigensolve workspaces

@@ -54,75 +54,65 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 }
 
 // TestAddBatchEquivalence is the determinism contract of the batch ingest
-// engine: AddBatch with any routing backend and any batch slicing
-// produces bit-identical groups, centroids, and
-// synthesized output to the sequential scan-backend Add loop on the same
-// seed — both from an empty condenser and from a static bootstrap.
+// engine: AddBatch with any batch slicing produces bit-identical groups,
+// centroids, and synthesized output to the sequential Add loop on the same
+// seed — both from an empty condenser and from a static bootstrap. At
+// k = 2 the stream founds more than dynamicIndexCutoff groups, so the
+// scan → kd-index promotion happens mid-stream (at a different record
+// offset within each slicing's batches).
 func TestAddBatchEquivalence(t *testing.T) {
-	const k, dim = 6, 4
+	const dim = 4
 	stream := gaussianRecords(21, 1200, dim)
 
-	build := func(boot bool, search NeighborSearch) *Dynamic {
-		t.Helper()
-		c, err := NewCondenser(k, WithRandomSource(rng.New(24)), WithNeighborSearch(search))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d *Dynamic
-		if boot {
-			cond, serr := Static(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			d, err = c.DynamicFrom(cond)
-		} else {
-			d, err = c.Dynamic(dim)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-
-	for _, boot := range []bool{false, true} {
-		// Reference: sequential Add loop on the scan backend.
-		ref := build(boot, SearchScanSort)
-		for _, x := range stream {
-			if err := ref.Add(x); err != nil {
+	for _, k := range []int{6, 2} {
+		build := func(boot bool) *Dynamic {
+			t.Helper()
+			c, err := NewCondenser(k, WithRandomSource(rng.New(24)))
+			if err != nil {
 				t.Fatal(err)
 			}
+			var d *Dynamic
+			if boot {
+				cond, serr := Static(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				d, err = c.DynamicFrom(cond)
+			} else {
+				d, err = c.Dynamic(dim)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
-		want := dynamicFingerprint(t, ref)
 
-		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
+		for _, boot := range []bool{false, true} {
+			// Reference: the sequential Add loop.
+			ref := build(boot)
+			for _, x := range stream {
+				if err := ref.Add(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, isKD := ref.router.(*kdRouter); isKD != (k == 2) {
+				t.Fatalf("k=%d boot=%v: ended on %s router with %d groups",
+					k, boot, ref.router.label(), ref.NumGroups())
+			}
+			want := dynamicFingerprint(t, ref)
+
 			for _, batch := range []int{1, 7, 256, len(stream)} {
-				d := build(boot, search)
+				d := build(boot)
 				for lo := 0; lo < len(stream); lo += batch {
-					hi := lo + batch
-					if hi > len(stream) {
-						hi = len(stream)
-					}
+					hi := min(lo+batch, len(stream))
 					if err := d.AddBatch(stream[lo:hi]); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-					t.Fatalf("boot=%v search=%v batch=%d: AddBatch diverged from sequential Add loop",
-						boot, search, batch)
+					t.Fatalf("k=%d boot=%v batch=%d: AddBatch diverged from sequential Add loop",
+						k, boot, batch)
 				}
-			}
-		}
-
-		// The single-record Add path must also agree across backends.
-		for _, search := range []NeighborSearch{SearchAuto, SearchKDTree} {
-			d := build(boot, search)
-			for _, x := range stream {
-				if err := d.Add(x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-				t.Fatalf("boot=%v search=%v: Add diverged from scan backend", boot, search)
 			}
 		}
 	}
@@ -212,8 +202,8 @@ func TestAddBatchCancelled(t *testing.T) {
 	}
 }
 
-// The auto backend promotes to the centroid kd-index once the group count
-// crosses the cutoff, and the promotion is visible in the telemetry
+// Routing promotes to the centroid kd-index once the group count crosses
+// the cutoff, and the promotion is visible in the telemetry
 // backend label without disturbing the condensation.
 func TestDynamicAutoPromotion(t *testing.T) {
 	const k = 2
@@ -224,7 +214,7 @@ func TestDynamicAutoPromotion(t *testing.T) {
 	}
 	d.SetTelemetry(reg)
 	if _, isScan := d.router.(*scanRouter); !isScan {
-		t.Fatal("auto backend did not start on the scan router")
+		t.Fatal("routing did not start on the scan router")
 	}
 	// Enough records to push the group count past the cutoff: groups hold
 	// at most 2k−1 = 3 records, so 4·cutoff records guarantee promotion.
@@ -235,7 +225,7 @@ func TestDynamicAutoPromotion(t *testing.T) {
 		t.Fatalf("only %d groups formed, wanted ≥ %d", d.NumGroups(), dynamicIndexCutoff)
 	}
 	if _, isKD := d.router.(*kdRouter); !isKD {
-		t.Error("auto backend did not promote to the kd router")
+		t.Error("routing did not promote to the kd router")
 	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

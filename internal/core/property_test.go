@@ -94,85 +94,107 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 }
 
 // Property: under arbitrary interleavings of Add and AddBatch — random
-// batch sizes, random routing backends —
-// a dynamic condenser bootstrapped from a static condensation keeps every
-// group inside the paper's steady-state band k ≤ n(G) ≤ 2k−1 and never
-// loses a record. (Splits interleave implicitly: any group reaching 2k is
-// split on the spot, which is what makes the upper bound tight.)
+// batch sizes — a dynamic condenser bootstrapped from a static
+// condensation keeps every group inside the paper's steady-state band
+// k ≤ n(G) ≤ 2k−1 and never loses a record. (Splits interleave
+// implicitly: any group reaching 2k is split on the spot, which is what
+// makes the upper bound tight.) One long stream at k = 2 grows past
+// dynamicIndexCutoff groups, so the invariant is also checked across the
+// scan → kd-index promotion.
 func TestDynamicInterleavingInvariantProperty(t *testing.T) {
-	f := func(seed uint64) bool {
+	// check runs one random interleaving and returns the engine, or nil
+	// if an invariant broke.
+	check := func(seed uint64, long bool) *Dynamic {
 		r := rng.New(seed)
 		d := 1 + r.IntN(4)
 		k := 2 + r.IntN(8)
+		ops := 12
+		if long {
+			k, ops = 2, 60
+		}
 		base := randomRecords(r, k+r.IntN(4*k), d)
 		cond, err := Static(base, k, r.Split(), Options{})
 		if err != nil {
-			return false
+			return nil
 		}
-		backends := []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree}
-		c, err := NewCondenser(k, WithRandomSource(r.Split()),
-			WithNeighborSearch(backends[r.IntN(len(backends))]))
+		c, err := NewCondenser(k, WithRandomSource(r.Split()))
 		if err != nil {
-			return false
+			return nil
 		}
 		dyn, err := c.DynamicFrom(cond)
 		if err != nil {
-			return false
+			return nil
 		}
 		total := len(base)
-		for op := 0; op < 12; op++ {
+		for op := 0; op < ops; op++ {
 			if r.Bool(0.5) {
 				x := randomRecords(r, 1, d)[0]
 				if err := dyn.Add(x); err != nil {
-					return false
+					return nil
 				}
 				total++
 			} else {
 				batch := randomRecords(r, r.IntN(60), d)
 				if err := dyn.AddBatch(batch); err != nil {
-					return false
+					return nil
 				}
 				total += len(batch)
 			}
 		}
 		if dyn.TotalCount() != total {
-			return false
+			return nil
 		}
 		for _, g := range dyn.Condensation().Groups() {
 			if g.N() < k || g.N() > 2*k-1 {
-				return false
+				return nil
 			}
 		}
-		return true
+		return dyn
 	}
+	f := func(seed uint64) bool { return check(seed, false) != nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	dyn := check(1, true)
+	if dyn == nil {
+		t.Fatal("long k = 2 interleaving broke an invariant")
+	}
+	if _, isKD := dyn.router.(*kdRouter); !isKD {
+		t.Fatalf("long interleaving ended on the %s router with %d groups, want the kd-index",
+			dyn.router.label(), dyn.NumGroups())
 	}
 }
 
 // Property: moment conservation at stream level. Under random
 // interleavings of Add and AddBatchContext on a sharded engine — 1 to 4
-// shards, scan or kd-index routing, streams long enough to split many
-// times — the pooled first-order sums Σ Fs, second-order sums Σ Sc, and
-// record count n over all groups equal the running sums of the ingested
-// records. Eq. 3's split preserves a group's pooled first and second
+// shards, streams long enough to split many times — the pooled
+// first-order sums Σ Fs, second-order sums Σ Sc, and record count n over
+// all groups equal the running sums of the ingested records. Eq. 3's split preserves a group's pooled first and second
 // moments, so the only slack is floating-point rounding: each entry must
-// agree within 1e-9 relative to the sum of its terms' magnitudes.
+// agree within 1e-9 relative to the sum of its terms' magnitudes. One
+// long stream at k = 2 on two shards grows each shard past
+// dynamicIndexCutoff groups, so conservation is also checked across the
+// scan → kd-index promotion.
 func TestShardedMomentConservationProperty(t *testing.T) {
 	const tol = 1e-9
-	f := func(seed uint64) bool {
+	// check runs one random interleaving and returns the engine, or nil
+	// if conservation broke.
+	check := func(seed uint64, long bool) *Sharded {
 		r := rng.New(seed)
 		d := 1 + r.IntN(4)
 		k := 2 + r.IntN(6)
 		shards := 1 + r.IntN(4)
-		search := []NeighborSearch{SearchScanSort, SearchKDTree}[r.IntN(2)]
-		c, err := NewCondenser(k, WithSeed(r.Uint64()), WithNeighborSearch(search))
+		ops := 20
+		if long {
+			k, shards, ops = 2, 2, 60
+		}
+		c, err := NewCondenser(k, WithSeed(r.Uint64()))
 		if err != nil {
-			return false
+			return nil
 		}
 		eng, err := c.Sharded(d, shards)
 		if err != nil {
-			return false
+			return nil
 		}
 		fs, fsAbs := make([]float64, d), make([]float64, d)
 		sc, scAbs := make([]float64, d*d), make([]float64, d*d)
@@ -188,18 +210,18 @@ func TestShardedMomentConservationProperty(t *testing.T) {
 			}
 			n++
 		}
-		for op := 0; op < 20; op++ {
+		for op := 0; op < ops; op++ {
 			if r.Bool(0.3) {
 				x := randomRecords(r, 1, d)[0]
 				if err := eng.Add(x); err != nil {
-					return false
+					return nil
 				}
 				absorb(x)
 				continue
 			}
 			batch := randomRecords(r, r.IntN(120), d)
 			if err := eng.AddBatchContext(context.Background(), batch); err != nil {
-				return false
+				return nil
 			}
 			for _, x := range batch {
 				absorb(x)
@@ -219,24 +241,35 @@ func TestShardedMomentConservationProperty(t *testing.T) {
 		}
 		if gotN != n || eng.TotalCount() != n {
 			t.Logf("seed %d: pooled n = %d, engine %d, ingested %d", seed, gotN, eng.TotalCount(), n)
-			return false
+			return nil
 		}
 		for i := range fs {
 			if math.Abs(gotFs[i]-fs[i]) > tol*fsAbs[i] {
 				t.Logf("seed %d: Σ Fs[%d] = %g, running sum %g", seed, i, gotFs[i], fs[i])
-				return false
+				return nil
 			}
 		}
 		for i := range sc {
 			if math.Abs(gotSc[i]-sc[i]) > tol*scAbs[i] {
 				t.Logf("seed %d: Σ Sc[%d] = %g, running sum %g", seed, i, gotSc[i], sc[i])
-				return false
+				return nil
 			}
 		}
-		return true
+		return eng
 	}
+	f := func(seed uint64) bool { return check(seed, false) != nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	eng := check(1, true)
+	if eng == nil {
+		t.Fatal("long k = 2 stream broke moment conservation")
+	}
+	for i, sh := range eng.shards {
+		if _, isKD := sh.dyn.router.(*kdRouter); !isKD {
+			t.Errorf("long stream: shard %d ended on the %s router with %d groups, want the kd-index",
+				i, sh.dyn.router.label(), sh.dyn.NumGroups())
+		}
 	}
 }
 

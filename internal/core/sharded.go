@@ -84,7 +84,6 @@ func (c *Condenser) Sharded(dim, shards int) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.setSearch(c.search)
 		s.shards = append(s.shards, &engineShard{dyn: d})
 	}
 	s.finish(c)
@@ -124,7 +123,6 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Sharded, er
 		}
 		d.k = c.k
 		d.opts = c.opts
-		d.setSearch(c.search)
 		s.shards = append(s.shards, &engineShard{dyn: d})
 	}
 	s.finish(c)

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"condensation/internal/kernel"
-	"condensation/internal/knn"
 	"condensation/internal/mat"
+	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
 	"condensation/internal/telemetry"
@@ -29,10 +29,10 @@ import (
 // original data.
 //
 // Deprecated: use the Condenser facade — NewCondenser(k, WithSeed(s),
-// ...).Static(records) — which also exposes the neighbour-search backend
-// and the parallelism of the distance sweep.
+// ...).Static(records) — which also exposes the parallelism of the
+// distance sweep.
 func Static(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, error) {
-	cond, _, err := staticCondense(context.Background(), records, k, r, opts, searchConfig{}, nil, nil)
+	cond, _, err := staticCondense(context.Background(), records, k, r, opts, 0, nil, nil)
 	return cond, err
 }
 
@@ -44,22 +44,21 @@ func Static(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensa
 //
 // Deprecated: use NewCondenser(k, ...).StaticWithMembers(records).
 func StaticWithMembers(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, k, r, opts, searchConfig{}, nil, nil)
+	return staticCondense(context.Background(), records, k, r, opts, 0, nil, nil)
 }
 
 // staticCondense is the engine behind Static and Condenser.Static. Per
-// group it draws exactly one value from r (the seed-record sample), so
-// every search backend consumes the identical rng stream; with distinct
-// pairwise distances all backends therefore produce identical groups, with
-// members added in ascending-distance order.
+// group it draws exactly one value from r (the seed-record sample) and
+// takes the k−1 nearest remaining records under the (distance, record
+// index) order, so it forms the same groups as the paper's full
+// scan-and-sort, members added in ascending-distance order. parallelism
+// bounds the distance sweep's workers and becomes the condensation's
+// synthesis parallelism (values < 1 mean runtime.NumCPU()).
 //
 // ctx is consulted only for a parent trace span; cancellation is not
 // checked (the static construction is one uninterruptible pass).
-func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Source, opts Options, cfg searchConfig, tel *telemetry.Registry, tr *telemetry.Tracer) (*Condensation, [][]int, error) {
+func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Source, opts Options, parallelism int, tel *telemetry.Registry, tr *telemetry.Tracer) (*Condensation, [][]int, error) {
 	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
 	if k < 1 {
@@ -79,12 +78,12 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 	}
 
 	met := newEngineMetrics(tel)
-	met.withSearchBackend(tel, searchBackendLabel(cfg.Search))
+	met.withSearchBackend(tel, "scan")
 
 	_, span := tr.Start(ctx, "static.condense")
 	span.SetAttrInt("records", len(records))
 	span.SetAttrInt("k", k)
-	span.SetAttr("backend", searchBackendLabel(cfg.Search))
+	span.SetAttr("backend", "scan")
 	defer span.End()
 
 	// k = 1 needs no neighbour search: every record is its own group. This
@@ -103,15 +102,12 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		}
 		met.groupsFormed.Add(len(groups))
 		cond := newCondensation(dim, k, opts, groups)
-		cond.par = cfg.Parallelism
+		cond.par = parallelism
 		cond.met = met
 		return cond, members, nil
 	}
 
-	search, err := newNeighborSearcher(records, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	search := newScanSearcher(records, dim, par.Workers(parallelism))
 
 	var groups []*stats.Group
 	var members [][]int
@@ -124,10 +120,7 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		if met.enabled {
 			t0 = time.Now()
 		}
-		group, err := search.takeGroup(pick, k)
-		if err != nil {
-			return nil, nil, err
-		}
+		group := search.takeGroup(pick, k)
 		if met.enabled {
 			met.search.ObserveSince(t0)
 			t0 = time.Now()
@@ -203,66 +196,38 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 	// The sweep parallelism doubles as the synthesis parallelism of the
 	// resulting condensation — one knob end to end.
 	cond := newCondensation(dim, k, opts, groups)
-	cond.par = cfg.Parallelism
+	cond.par = parallelism
 	cond.met = met
 	return cond, members, nil
 }
 
-// neighborSearcher abstracts the alive-set bookkeeping of the static
-// construction: how many records remain, and extracting a sampled record
-// together with its k−1 nearest survivors.
-type neighborSearcher interface {
-	// remaining returns the number of not-yet-grouped records.
-	remaining() int
-	// takeGroup removes the record at alive position pick plus its k−1
-	// nearest surviving records and returns their record indices in
-	// ascending-distance order (the seed record first).
-	takeGroup(pick, k int) ([]int, error)
-	// leftover removes and returns the record indices still alive, in
-	// alive-set order.
-	leftover() []int
-}
+// parallelSweepCutoff is the remaining-set size below which the static
+// nearest-k sweep stays single-threaded: under ~8k distances the goroutine
+// fan-out costs more than it saves.
+const parallelSweepCutoff = 8192
 
-// newNeighborSearcher builds the backend selected by cfg.
-func newNeighborSearcher(records []mat.Vector, cfg searchConfig) (neighborSearcher, error) {
+// newScanSearcher builds the alive-set bookkeeping of the static
+// construction over records of the given dimensionality.
+func newScanSearcher(records []mat.Vector, dim, workers int) *scanSearcher {
 	// alive holds indices of records not yet assigned to a group. Removal
 	// is swap-delete, so order is not preserved — grouping is randomized by
-	// the sampling step anyway.
+	// the sampling step anyway. The arena mirrors the alive set row for
+	// row: arena row i holds the coordinates of record alive[i], so the
+	// kernel sweeps run over contiguous memory instead of gathering
+	// through the records slice. Swap-deletes move rows in lockstep with
+	// alive.
 	alive := make([]int, len(records))
-	for i := range alive {
+	arena := make([]float64, len(records)*dim)
+	for i, x := range records {
 		alive[i] = i
+		copy(arena[i*dim:(i+1)*dim], x)
 	}
-	switch cfg.Search {
-	case SearchKDTree:
-		tree, err := knn.NewDynamicKDTree(records)
-		if err != nil {
-			return nil, fmt.Errorf("core: building kd-tree: %w", err)
-		}
-		pos := make([]int, len(records))
-		for i := range pos {
-			pos[i] = i
-		}
-		return &kdTreeSearcher{records: records, tree: tree, alive: alive, pos: pos}, nil
-	default:
-		dim := 0
-		if len(records) > 0 {
-			dim = len(records[0])
-		}
-		// The arena mirrors the alive set row for row: arena row i holds
-		// the coordinates of record alive[i], so the kernel sweeps run
-		// over contiguous memory instead of gathering through the records
-		// slice. Swap-deletes move rows in lockstep with alive.
-		arena := make([]float64, len(records)*dim)
-		for i, x := range records {
-			copy(arena[i*dim:(i+1)*dim], x)
-		}
-		return &scanSearcher{
-			dim:     dim,
-			arena:   arena,
-			alive:   alive,
-			workers: cfg.workers(),
-			chosen:  make([]int, 0, len(records)),
-		}, nil
+	return &scanSearcher{
+		dim:     dim,
+		arena:   arena,
+		alive:   alive,
+		workers: workers,
+		chosen:  make([]int, 0, len(records)),
 	}
 }
 
@@ -281,9 +246,13 @@ type scanSearcher struct {
 	chosen []int               // alive positions picked for the current group
 }
 
+// remaining returns the number of not-yet-grouped records.
 func (s *scanSearcher) remaining() int { return len(s.alive) }
 
-func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
+// takeGroup removes the record at alive position pick plus its k−1
+// nearest surviving records and returns their record indices in
+// ascending-distance order (the seed record first).
+func (s *scanSearcher) takeGroup(pick, k int) []int {
 	seed := s.arena[pick*s.dim : (pick+1)*s.dim]
 	nearest := s.nearest(seed, k)
 
@@ -305,7 +274,7 @@ func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
 		copy(s.arena[pos*s.dim:(pos+1)*s.dim], s.arena[last*s.dim:(last+1)*s.dim])
 		s.alive = s.alive[:last]
 	}
-	return group, nil
+	return group
 }
 
 // nearest returns the k alive rows with the smallest (distance to seed,
@@ -349,59 +318,9 @@ func (s *scanSearcher) nearest(seed []float64, k int) []kernel.Neighbor {
 	return s.merged[:k]
 }
 
+// leftover removes and returns the record indices still alive, in
+// alive-set order.
 func (s *scanSearcher) leftover() []int {
-	out := append([]int(nil), s.alive...)
-	s.alive = s.alive[:0]
-	return out
-}
-
-// kdTreeSearcher answers neighbour queries from a DynamicKDTree with
-// tombstone deletion. It mirrors the scan backends' alive-set bookkeeping
-// (same swap-delete order) so that the seed sampled for a given rng draw
-// is the same record under every backend.
-type kdTreeSearcher struct {
-	records []mat.Vector
-	tree    *knn.DynamicKDTree
-	alive   []int
-	pos     []int // record index -> position in alive, -1 once grouped
-}
-
-func (s *kdTreeSearcher) remaining() int { return len(s.alive) }
-
-func (s *kdTreeSearcher) takeGroup(pick, k int) ([]int, error) {
-	seed := s.records[s.alive[pick]]
-	neighbors, err := s.tree.NearestAlive(seed, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: kd-tree query: %w", err)
-	}
-	group := make([]int, len(neighbors))
-	for i, nb := range neighbors {
-		group[i] = nb.Index
-	}
-	// Delete from the tree and from the alive set, highest alive position
-	// first so swap-delete does not disturb pending positions.
-	positions := make([]int, len(group))
-	for i, idx := range group {
-		if err := s.tree.Delete(idx); err != nil {
-			return nil, fmt.Errorf("core: kd-tree delete: %w", err)
-		}
-		positions[i] = s.pos[idx]
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(positions)))
-	for _, p := range positions {
-		last := len(s.alive) - 1
-		s.pos[s.alive[p]] = -1
-		if p != last {
-			moved := s.alive[last]
-			s.alive[p] = moved
-			s.pos[moved] = p
-		}
-		s.alive = s.alive[:last]
-	}
-	return group, nil
-}
-
-func (s *kdTreeSearcher) leftover() []int {
 	out := append([]int(nil), s.alive...)
 	s.alive = s.alive[:0]
 	return out

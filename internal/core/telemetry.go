@@ -78,8 +78,8 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 }
 
 // withSearchBackend attaches the neighbor_search stage series for the
-// named backend ("scan" or "kdtree" statically, the dynamic
-// engine's "centroid-scan" or "centroid-kdtree"), carrying the same extra
+// named backend ("scan" statically, the dynamic engine's "centroid-scan"
+// or "centroid-kdtree"), carrying the same extra
 // labels as the other engine series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
 	if reg == nil {
@@ -87,16 +87,6 @@ func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend strin
 	}
 	m.search = reg.Histogram(metricStageSeconds, nil,
 		append([]string{"stage", "neighbor_search", "backend", backend}, labels...)...)
-}
-
-// searchBackendLabel names the effective static backend for the metric
-// label: SearchAuto and SearchScanSort both run the fused sweep + bounded
-// top-k scan.
-func searchBackendLabel(s NeighborSearch) string {
-	if s == SearchKDTree {
-		return s.String()
-	}
-	return "scan"
 }
 
 // WithTelemetry attaches a metrics registry to the Condenser: every

@@ -39,8 +39,6 @@ type Config struct {
 	InitialFraction float64
 	// Options tunes the condensation itself (synthesis, split axis, ...).
 	Options core.Options
-	// Search selects the static neighbour-search backend (default auto).
-	Search core.NeighborSearch
 	// Parallelism bounds the worker goroutines of the whole evaluation
 	// stack: the (k × repetitions) experiment cell pool, the k-NN
 	// PredictAll sweep, per-group synthesis, and the static distance
@@ -66,7 +64,6 @@ func (c Config) anonymizeConfig(k int, mode core.Mode) core.AnonymizeConfig {
 		Mode:            mode,
 		Options:         c.Options,
 		InitialFraction: c.InitialFraction,
-		Search:          c.Search,
 		Parallelism:     c.Parallelism,
 	}
 }
@@ -77,7 +74,6 @@ func (c Config) condenser(k int, r *rng.Source) (*core.Condenser, error) {
 	return core.NewCondenser(k,
 		core.WithRandomSource(r),
 		core.WithOptions(c.Options),
-		core.WithNeighborSearch(c.Search),
 		core.WithParallelism(c.Parallelism))
 }
 

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,56 @@ func TestKDTreeBruteEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteSorted is the tie-break reference: every point ordered by the
+// lexicographic (distance, index) key the tree promises, first k kept.
+func bruteSorted(points []mat.Vector, query mat.Vector, k int) []Neighbor {
+	all := make([]Neighbor, len(points))
+	for i, p := range points {
+		all[i] = Neighbor{Index: i, DistSq: query.DistSq(p)}
+	}
+	for i := 1; i < len(all); i++ {
+		for j := i; j > 0; j-- {
+			a, b := all[j-1], all[j]
+			if b.DistSq < a.DistSq || (b.DistSq == a.DistSq && b.Index < a.Index) {
+				all[j-1], all[j] = b, a
+			} else {
+				break
+			}
+		}
+	}
+	return all[:min(k, len(all))]
+}
+
+// TestKDTreesBreakTiesByIndex runs the kd-tree on an integer lattice with
+// duplicated points, where nearly every k-th distance is shared by several
+// points: the k returned must be the lowest-index ones, as in bruteSorted.
+func TestKDTreesBreakTiesByIndex(t *testing.T) {
+	r := rng.New(3)
+	points := make([]mat.Vector, 300)
+	for i := range points {
+		v := make(mat.Vector, 3)
+		for j := range v {
+			v[j] = float64(r.IntN(3))
+		}
+		points[i] = v
+	}
+	tree, err := NewKDTree(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		query := points[r.IntN(len(points))]
+		k := 1 + r.IntN(12)
+		got, err := tree.Nearest(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteSorted(points, query, k); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: KDTree got %v, want %v", round, got, want)
+		}
 	}
 }
 

@@ -576,7 +576,7 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := core.NewCondenser(5, core.WithSeed(1), core.WithNeighborSearch(core.SearchScanSort))
+	c, err := core.NewCondenser(5, core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

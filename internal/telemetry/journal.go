@@ -16,8 +16,9 @@ const (
 	// EventSplit marks a group reaching 2k records and splitting: the
 	// parent id retires and two children are born (paper §3.2).
 	EventSplit = "split"
-	// EventIndexRebuild marks a centroid-router (re)build: the SearchAuto
-	// scan→kd promotion, or an explicit backend change.
+	// EventIndexRebuild marks a centroid-router rebuild: the scan→kd
+	// promotion a dynamic engine makes once its group count reaches the
+	// index cutoff.
 	EventIndexRebuild = "index_rebuild"
 	// EventCacheInvalidation marks the server's read cache dropping a
 	// generation's prepared artifacts because the engine moved on.
