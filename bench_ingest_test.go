@@ -1,7 +1,7 @@
 // Streaming-ingestion benchmarks: steady-state throughput of the dynamic
 // engine's hot path (PR 4) at realistic group counts, through every layer
-// that ingests — Dynamic.Add / Dynamic.AddBatch directly, the stream
-// driver, and the HTTP server. Reference numbers live in BENCH_PR4.json.
+// that ingests — a single-shard Sharded's Add / AddBatchContext directly,
+// the stream driver, and the HTTP server. Reference numbers live in BENCH_PR4.json.
 package condensation
 
 import (
@@ -74,24 +74,21 @@ func benchStreamCorr(seed uint64, n, dim int) []mat.Vector {
 // condensers.
 func benchBase(b testing.TB, pool []mat.Vector, groups, k int) *core.Condensation {
 	b.Helper()
-	base, err := core.Static(pool[:groups*k], k, rng.New(12), core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := condenseStatic(b, pool[:groups*k], k, rng.New(12))
 	return base
 }
 
-// benchFresh seeds a dynamic condenser from base. Ingest benchmarks
+// benchFresh seeds a single-shard engine from base. Ingest benchmarks
 // re-seed every benchResetEvery records (off the clock) so the group
 // count — the variable that determines routing cost — stays pinned near
 // the sub-benchmark's G instead of growing with b.N.
-func benchFresh(b testing.TB, base *core.Condensation) *core.Dynamic {
+func benchFresh(b testing.TB, base *core.Condensation) *core.Sharded {
 	b.Helper()
 	c, err := core.NewCondenser(base.K(), core.WithRandomSource(rng.New(13)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	dyn, err := c.DynamicFrom(base)
+	dyn, err := c.ShardedFrom(base, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,11 +102,12 @@ const benchResetEvery = 4096
 // BenchmarkDynamicAddAll measures steady-state per-record ingest cost at
 // fixed group counts — G=200 routes through the linear centroid scan,
 // G=800 (past dynamicIndexCutoff) through the centroid kd-index — through
-// both the per-record Add loop and the AddBatch path (1024-record
-// batches), over two stream shapes: isotropic i.i.d. noise (worst case for
-// spatial pruning) and a correlated rank-3 factor stream (the
-// attribute-correlated regime the paper targets). Both cells of one
-// stream × G produce bit-identical condensations (TestAddBatchEquivalence);
+// both the per-record Add loop and the AddBatchContext path (1024-record
+// batches) of a single-shard engine, over two stream shapes: isotropic
+// i.i.d. noise (worst case for spatial pruning) and a correlated rank-3
+// factor stream (the attribute-correlated regime the paper targets). Both
+// cells of one stream × G produce bit-identical condensations
+// (TestAddBatchEquivalence);
 // only the clock and the allocation counters move. ns/op is per record in
 // every cell.
 func BenchmarkDynamicAddAll(b *testing.B) {
@@ -162,7 +160,7 @@ func BenchmarkDynamicAddAll(b *testing.B) {
 						n = b.N - done
 					}
 					lo := done % (len(pool) - batchSize)
-					if err := dyn.AddBatch(pool[lo : lo+n]); err != nil {
+					if err := dyn.AddBatchContext(context.Background(), pool[lo:lo+n]); err != nil {
 						b.Fatal(err)
 					}
 					done += n
@@ -175,10 +173,11 @@ func BenchmarkDynamicAddAll(b *testing.B) {
 
 // TestDynamicIngestZeroAllocs pins the "0 allocs/record" ingest claim
 // that BenchmarkDynamicAddAll reports, as a deterministic count rather
-// than a benchmark figure: at G=800 on the correlated stream (routing on
-// the centroid kd-index) with telemetry off, both the per-record Add path
-// over 4,096 records and 1,024-record AddBatch calls must average under
-// one allocation per call, splits included.
+// than a benchmark figure, on the engine the server runs: a single-shard
+// Sharded at G=800 on the correlated stream (routing on the centroid
+// kd-index) with telemetry off. Both the per-record Add path over 4,096
+// records and 1,024-record AddBatchContext calls must average under one
+// allocation per call, splits included.
 func TestDynamicIngestZeroAllocs(t *testing.T) {
 	const dim, k, G, batchSize = 8, 25, 800, 1024
 	full := benchStreamCorr(14, G*k+1<<14, dim)
@@ -199,12 +198,12 @@ func TestDynamicIngestZeroAllocs(t *testing.T) {
 	dyn = benchFresh(t, base)
 	next = 0
 	if got := testing.AllocsPerRun(3, func() {
-		if err := dyn.AddBatch(pool[next : next+batchSize]); err != nil {
+		if err := dyn.AddBatchContext(context.Background(), pool[next:next+batchSize]); err != nil {
 			t.Fatal(err)
 		}
 		next += batchSize
 	}); got != 0 {
-		t.Errorf("AddBatch: %v allocs per %d-record batch, want 0", got, batchSize)
+		t.Errorf("AddBatchContext: %v allocs per %d-record batch, want 0", got, batchSize)
 	}
 }
 
@@ -225,7 +224,7 @@ func BenchmarkDynamicIngestJournal(b *testing.B) {
 			name = "journal=on"
 		}
 		b.Run(fmt.Sprintf("corr/G=%d/%s/add", G, name), func(b *testing.B) {
-			fresh := func() *core.Dynamic {
+			fresh := func() *core.Sharded {
 				dyn := benchFresh(b, base)
 				if journal {
 					dyn.SetJournal(telemetry.NewJournal(4096))

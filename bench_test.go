@@ -19,7 +19,6 @@ import (
 	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
-	"condensation/internal/stats"
 )
 
 // benchConfig is the shared figure configuration: the paper's x-axis range
@@ -202,10 +201,13 @@ func BenchmarkClusteringUtility(b *testing.B) {
 
 func BenchmarkCoreStaticCondense(b *testing.B) {
 	ds := datagen.Pima(7)
-	r := rng.New(1)
+	c, err := core.NewCondenser(25, core.WithRandomSource(rng.New(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Static(ds.X, 25, r, core.Options{}); err != nil {
+		if _, err := c.Static(ds.X); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,11 +235,12 @@ func BenchmarkCoreDynamicAdd(b *testing.B) {
 	for i, x := range ds.X {
 		joint[i] = x
 	}
-	base, err := core.Static(joint[:500], 25, rng.New(2), core.Options{})
+	base := condenseStatic(b, joint[:500], 25, rng.New(2))
+	c, err := core.NewCondenser(25, core.WithRandomSource(rng.New(3)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	dyn, err := core.NewDynamic(base, rng.New(3))
+	dyn, err := c.ShardedFrom(base, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,10 +254,7 @@ func BenchmarkCoreDynamicAdd(b *testing.B) {
 
 func BenchmarkCoreSynthesize(b *testing.B) {
 	ds := datagen.Ionosphere(7)
-	cond, err := core.Static(ds.X, 25, rng.New(4), core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cond := condenseStatic(b, ds.X, 25, rng.New(4))
 	r := rng.New(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -279,10 +279,7 @@ func benchWorkerCounts() []int {
 // (TestSynthesizeParallelEquivalence), only the wall clock moves.
 func BenchmarkCoreSynthesizeParallel(b *testing.B) {
 	ds := datagen.Abalone(7)
-	cond, err := core.Static(ds.X, 25, rng.New(4), core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cond := condenseStatic(b, ds.X, 25, rng.New(4))
 	for _, w := range benchWorkerCounts() {
 		b.Run(strconv.Itoa(w), func(b *testing.B) {
 			cond.SetParallelism(w)
@@ -341,26 +338,6 @@ func BenchmarkExperimentsAccuracyCurveParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkCoreSplitGroup(b *testing.B) {
-	r := rng.New(6)
-	g := stats.NewGroup(34)
-	x := make(mat.Vector, 34)
-	for i := 0; i < 50; i++ {
-		for j := range x {
-			x[j] = r.Norm()
-		}
-		if err := g.Add(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SplitGroup(g, 25, core.SplitPrincipal, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

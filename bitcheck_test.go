@@ -1,6 +1,7 @@
 package condensation
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -12,16 +13,14 @@ import (
 )
 
 // TestBitcheckFingerprint prints a fingerprint of the full default
-// pipeline: static condensation, dynamic ingest through Add and AddBatch
-// and through Add alone, and seeded synthesis. Run at two commits, the
+// pipeline: static condensation, dynamic ingest into a single-shard engine
+// through Add and AddBatchContext and through Add alone, and seeded
+// synthesis. Run at two commits, the
 // logged hashes must match byte for byte.
 func TestBitcheckFingerprint(t *testing.T) {
 	const dim, k, G = 8, 25, 300
 	full := benchStreamCorr(14, G*k+10000, dim)
-	base, err := core.Static(full[:G*k], k, rng.New(12), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := condenseStatic(t, full[:G*k], k, rng.New(12))
 	h := sha256.New()
 	hashCond := func(c *core.Condensation) {
 		for _, g := range c.Groups() {
@@ -36,9 +35,10 @@ func TestBitcheckFingerprint(t *testing.T) {
 	hashCond(base)
 
 	// Two passes of the default engine over the same records: Add ×2000
-	// then AddBatch in 1,024-record chunks (the pool's tail that fills no
-	// chunk is dropped), and a pure Add loop over exactly those records.
-	// Both hash into the fingerprint, so it also pins Add ≡ AddBatch.
+	// then AddBatchContext in 1,024-record chunks (the pool's tail that
+	// fills no chunk is dropped), and a pure Add loop over exactly those
+	// records. Both hash into the fingerprint, so it also pins Add ≡
+	// AddBatchContext.
 	pool := full[G*k:]
 	fed := pool[:2000+(len(pool)-2000)/1024*1024]
 	for _, batched := range []bool{true, false} {
@@ -46,7 +46,7 @@ func TestBitcheckFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := c.DynamicFrom(base)
+		dyn, err := c.ShardedFrom(base, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestBitcheckFingerprint(t *testing.T) {
 			}
 		}
 		for lo := len(singles); lo < len(fed); lo += 1024 {
-			if err := dyn.AddBatch(fed[lo : lo+1024]); err != nil {
+			if err := dyn.AddBatchContext(context.Background(), fed[lo:lo+1024]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -137,7 +137,7 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		addr        = fs.String("addr", ":8080", "listen address")
 		dim         = fs.Int("dim", 0, "record dimensionality (required unless -resume)")
 		k           = fs.Int("k", 10, "indistinguishability level")
-		shards      = fs.Int("shards", 1, "independent condenser shards, each with its own lock (1 = one shard, bit-identical to an unsharded engine)")
+		shards      = fs.Int("shards", 1, "independent condenser shards, each with its own lock (1 = a single shard over the whole stream)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")

@@ -38,8 +38,8 @@ func main() {
 	}
 	fmt.Printf("initial database: %d records in %d groups\n", base.TotalCount(), base.NumGroups())
 
-	// One shard continues the static condensation exactly as an unsharded
-	// dynamic condenser would.
+	// One shard runs the paper's dynamic maintenance over the whole stream,
+	// continuing from the static condensation.
 	eng, err := condenser.ShardedFrom(base, 1)
 	if err != nil {
 		log.Fatal(err)

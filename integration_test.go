@@ -11,12 +11,43 @@ import (
 	"condensation/internal/dataset"
 	"condensation/internal/discretize"
 	"condensation/internal/knn"
+	"condensation/internal/mat"
 	"condensation/internal/metrics"
 	"condensation/internal/privacy"
 	"condensation/internal/rng"
 	"condensation/internal/stream"
 	"condensation/internal/tree"
 )
+
+// condenseStatic condenses records statically (Figure 1) with the paper's
+// defaults at level k, drawing from r.
+func condenseStatic(tb testing.TB, records []mat.Vector, k int, r *rng.Source) *core.Condensation {
+	tb.Helper()
+	c, err := core.NewCondenser(k, core.WithRandomSource(r))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cond, err := c.Static(records)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cond
+}
+
+// anonymizeStatic anonymizes ds by static condensation at level k,
+// drawing from r.
+func anonymizeStatic(tb testing.TB, ds *dataset.Dataset, k int, r *rng.Source) (*dataset.Dataset, *core.Report) {
+	tb.Helper()
+	c, err := core.NewCondenser(k, core.WithRandomSource(r))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	anon, report, err := c.Anonymize(ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return anon, report
+}
 
 // TestPipelineClassification exercises the full paper pipeline end to end
 // on every classification data set: generate → split → anonymize → train
@@ -48,10 +79,7 @@ func TestPipelineClassification(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			anon, report, err := core.Anonymize(train, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
+			anon, report := anonymizeStatic(t, train, 10, r.Split())
 			if anon.Len() != train.Len() {
 				t.Fatalf("anonymized %d records, want %d", anon.Len(), train.Len())
 			}
@@ -131,10 +159,7 @@ func TestPipelineRegression(t *testing.T) {
 		return acc
 	}
 	origAcc := score(train)
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
+	anon, _ := anonymizeStatic(t, train, 10, r.Split())
 	anonAcc := score(anon)
 	if anonAcc < origAcc-0.12 {
 		t.Errorf("anonymized within-one-year %.4f vs original %.4f", anonAcc, origAcc)
@@ -158,10 +183,7 @@ func TestPipelineDynamicStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := core.Static(sub.X[:50], k, r.Split(), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := condenseStatic(t, sub.X[:50], k, r.Split())
 		c, err := core.NewCondenser(k, core.WithRandomSource(r.Split()))
 		if err != nil {
 			t.Fatal(err)
@@ -246,10 +268,7 @@ func TestPipelineMining(t *testing.T) {
 	if len(origRules) == 0 {
 		t.Fatal("no rules mined from original data; mining study would be vacuous")
 	}
-	anon, _, err := core.Anonymize(ds, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	anon, _ := anonymizeStatic(t, ds, 10, r)
 	anonRules := mine(anon)
 	if j := assoc.RuleSetJaccard(origRules, anonRules); j < 0.4 {
 		t.Errorf("rule-set Jaccard %.3f, want ≥ 0.4", j)
@@ -276,10 +295,7 @@ func TestPipelineTree(t *testing.T) {
 		return acc
 	}
 	origAcc := fit(train)
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 15, Mode: core.ModeStatic}, r.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
+	anon, _ := anonymizeStatic(t, train, 15, r.Split())
 	anonAcc := fit(anon)
 	if anonAcc < origAcc-0.1 {
 		t.Errorf("tree on anonymized data %.4f vs original %.4f", anonAcc, origAcc)
@@ -290,10 +306,7 @@ func TestPipelineTree(t *testing.T) {
 // format and verifies synthesized output equivalence.
 func TestPipelineCheckpoint(t *testing.T) {
 	ds := datagen.Ecoli(109)
-	cond, err := core.Static(ds.X, 12, rng.New(110), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cond := condenseStatic(t, ds.X, 12, rng.New(110))
 	var buf bytes.Buffer
 	if _, err := cond.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -324,10 +337,7 @@ func TestMomentPreservationEndToEnd(t *testing.T) {
 	ds := datagen.Pima(112)
 	var prevErr float64 = -1
 	for _, k := range []int{100, 25, 5} {
-		cond, err := core.Static(ds.X, k, rng.New(113), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cond := condenseStatic(t, ds.X, k, rng.New(113))
 		synth, err := cond.Synthesize(rng.New(114))
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ type Condensation struct {
 	// like met.
 	tr *telemetry.Tracer
 	// groupIDs, when set, annotates groups[i] with its stable engine group
-	// id (see Dynamic). Observe-only diagnostics metadata: it is not
+	// id (see groupIDShardShift). Observe-only diagnostics metadata: it is not
 	// serialized into checkpoints and never influences synthesis. Snapshots
 	// taken from a static condensation (or restored from a checkpoint
 	// before any engine wraps them) carry no ids.
@@ -123,7 +123,7 @@ func (c *Condensation) Groups() []*stats.Group {
 // groups, aligned with Groups()/Centroids() order, or nil when the
 // condensation was not snapshotted from an engine that assigns ids (static
 // condensations, freshly restored checkpoints). The ids are observe-only
-// lineage metadata — see Dynamic's id scheme.
+// lineage metadata — see groupIDShardShift.
 func (c *Condensation) GroupIDs() []uint64 {
 	if c.groupIDs == nil {
 		return nil

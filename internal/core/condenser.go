@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
-	"condensation/internal/dataset"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
@@ -41,7 +38,6 @@ type Condenser struct {
 	initial float64
 	tel     *telemetry.Registry // nil means telemetry disabled
 	trace   *telemetry.Tracer   // nil means tracing disabled
-	journal *telemetry.Journal  // nil means lifecycle journal disabled
 
 	search    NeighborSearch // only validated; see WithNeighborSearch
 	precision IndexPrecision // only validated; see WithIndexPrecision
@@ -115,16 +111,6 @@ func WithTracer(tr *telemetry.Tracer) CondenserOption {
 	return func(c *Condenser) { c.trace = tr }
 }
 
-// WithJournal attaches a group-lifecycle journal: dynamic engines built by
-// this Condenser then record structured foundings, splits (with
-// parent→child lineage), and router rebuilds into its ring. A nil journal
-// (the default) disables recording. Like the tracer, the journal is
-// observe-only — it never touches the rng stream, so condensed output is
-// bit-identical either way.
-func WithJournal(j *telemetry.Journal) CondenserOption {
-	return func(c *Condenser) { c.journal = j }
-}
-
 // NewCondenser builds a Condenser with indistinguishability level k. The
 // zero configuration reproduces the paper; see the type documentation.
 func NewCondenser(k int, opts ...CondenserOption) (*Condenser, error) {
@@ -168,14 +154,7 @@ func (c *Condenser) rng() *rng.Source {
 // Static condenses the records into groups of at least k (Figure 1) using
 // the configured parallelism.
 func (c *Condenser) Static(records []mat.Vector) (*Condensation, error) {
-	return c.StaticContext(context.Background(), records)
-}
-
-// StaticContext is Static with a context: a span carried by ctx becomes
-// the parent of the pipeline's trace spans (the context is not consulted
-// for cancellation).
-func (c *Condenser) StaticContext(ctx context.Context, records []mat.Vector) (*Condensation, error) {
-	cond, _, err := staticCondense(ctx, records, c.k, c.rng(), c.opts, c.par, c.tel, c.trace)
+	cond, _, err := staticCondense(c, records, c.rng())
 	return cond, err
 }
 
@@ -183,74 +162,5 @@ func (c *Condenser) StaticContext(ctx context.Context, records []mat.Vector) (*C
 // records each group condensed — for privacy evaluation and tests only;
 // membership must never leave the trusted collection boundary.
 func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, c.k, c.rng(), c.opts, c.par, c.tel, c.trace)
-}
-
-// Dynamic returns an empty dynamic condenser (Figure 2) over records of
-// the given dimensionality, for pure-stream deployments with no initial
-// database.
-func (c *Condenser) Dynamic(dim int) (*Dynamic, error) {
-	d, err := NewDynamicEmpty(dim, c.k, c.opts, c.rng())
-	if err != nil {
-		return nil, err
-	}
-	d.SetTelemetry(c.tel)
-	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
-	return d, nil
-}
-
-// DynamicFrom returns a dynamic condenser seeded from an existing
-// condensation — the paper's H = CreateCondensedGroups(k, D)
-// initialization. The initial condensation's dimensionality is used; its k
-// and options are superseded by the Condenser's.
-func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
-	if initial == nil {
-		return nil, errors.New("core: nil initial condensation")
-	}
-	d, err := NewDynamic(initial, c.rng())
-	if err != nil {
-		return nil, err
-	}
-	d.k = c.k
-	d.opts = c.opts
-	d.SetTelemetry(c.tel)
-	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
-	return d, nil
-}
-
-// Bootstrap condenses an initial database statically and returns a
-// dynamic condenser maintaining it — the paper's full dynamic setting in
-// one call.
-func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
-	r := c.rng()
-	cond, _, err := staticCondense(context.Background(), initial, c.k, r, c.opts, c.par, c.tel, c.trace)
-	if err != nil {
-		return nil, err
-	}
-	d, err := NewDynamic(cond, r)
-	if err != nil {
-		return nil, err
-	}
-	d.SetTelemetry(c.tel)
-	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
-	return d, nil
-}
-
-// Anonymize produces a privacy-preserving replacement for ds using the
-// configured mode, per-class for classification and jointly with the
-// target for regression (Section 3.1).
-func (c *Condenser) Anonymize(ds *dataset.Dataset) (*dataset.Dataset, *Report, error) {
-	cfg := AnonymizeConfig{
-		K:               c.k,
-		Mode:            c.mode,
-		Options:         c.opts,
-		InitialFraction: c.initial,
-		Parallelism:     c.par,
-		Telemetry:       c.tel,
-		Tracer:          c.trace,
-	}
-	return Anonymize(ds, cfg, c.rng())
+	return staticCondense(c, records, c.rng())
 }

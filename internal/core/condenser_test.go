@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -252,7 +253,7 @@ func TestCondenserDefaultsMatchDeprecatedAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Static(records, 6, rng.New(42), Options{})
+	legacy, err := condenseStatic(records, 6, rng.New(42), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +304,11 @@ func TestCondenserDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := c.Dynamic(2)
+	dyn, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(gaussianRecords(8, 50, 2)); err != nil {
+	if err := dyn.AddBatchContext(context.Background(), gaussianRecords(8, 50, 2)); err != nil {
 		t.Fatal(err)
 	}
 	cond := dyn.Condensation()
@@ -315,12 +316,16 @@ func TestCondenserDynamic(t *testing.T) {
 		t.Errorf("dynamic condensation: %d records k=%d", cond.TotalCount(), cond.K())
 	}
 
-	// Bootstrap = static init + dynamic maintenance in one call.
-	dyn2, err := c.Bootstrap(gaussianRecords(9, 40, 2))
+	// Static init + dynamic maintenance: the paper's full dynamic setting.
+	base, err := c.Static(gaussianRecords(9, 40, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn2.AddBatch(gaussianRecords(10, 30, 2)); err != nil {
+	dyn2, err := c.ShardedFrom(base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn2.AddBatchContext(context.Background(), gaussianRecords(10, 30, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := dyn2.Condensation().TotalCount(); got != 70 {
@@ -350,7 +355,7 @@ func TestCondenserValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DynamicFrom(nil); err == nil {
+	if _, err := c.ShardedFrom(nil, 1); err == nil {
 		t.Error("nil initial condensation accepted")
 	}
 	if c.K() != 3 {

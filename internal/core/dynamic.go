@@ -23,7 +23,7 @@ import (
 // which moves slowly) and the counters remain exact.
 const searchSampleEvery = 64
 
-// Dynamic maintains condensed groups over an incremental stream of records
+// dynamic maintains condensed groups over an incremental stream of records
 // (DynamicGroupMaintenance, Figure 2 of the paper). Each arriving record is
 // added to the group with the nearest centroid; as soon as a group reaches
 // 2k records its statistics are split into two groups of k records each
@@ -34,13 +34,12 @@ const searchSampleEvery = 64
 // Records are routed through a nearest-centroid router chosen by the group
 // count: the paper's linear scan below dynamicIndexCutoff groups, and a
 // maintained kd-index, exact under centroid drift and splits, from there
-// on. AddBatch ingests a
-// whole batch through the same route-and-absorb steps as Add, after
-// validating all of it.
+// on.
 //
-// A Dynamic performs no locking: it is the single-threaded unit a Sharded
-// runs one of per shard, under that shard's lock.
-type Dynamic struct {
+// A dynamic is the per-shard unit of a Sharded: it performs no locking
+// and no input validation, runs under its shard's lock, and ingests only
+// records the Sharded has already validated.
+type dynamic struct {
 	k    int
 	dim  int
 	opts Options
@@ -120,7 +119,7 @@ const groupIDShardShift = 48
 
 // allocID hands out the next stable group id under this engine's base.
 // Ids are 1-based within the shard so 0 stays the "no parent" sentinel.
-func (d *Dynamic) allocID() uint64 {
+func (d *dynamic) allocID() uint64 {
 	d.idSeq++
 	return d.idBase | d.idSeq
 }
@@ -128,7 +127,7 @@ func (d *Dynamic) allocID() uint64 {
 // annotate registers identity and birth for a group slot just appended to
 // d.groups: a fresh id, the current mutation generation, the given split
 // parent (0 when founded), and a clone of the group's centroid.
-func (d *Dynamic) annotate(parent uint64, centroid mat.Vector) uint64 {
+func (d *dynamic) annotate(parent uint64, centroid mat.Vector) uint64 {
 	id := d.allocID()
 	d.ids = append(d.ids, id)
 	d.births = append(d.births, groupBirth{gen: d.lastMut, parent: parent, centroid: centroid.Clone()})
@@ -137,9 +136,9 @@ func (d *Dynamic) annotate(parent uint64, centroid mat.Vector) uint64 {
 
 // rebaseIDs moves the engine's id space under base, renumbering any groups
 // annotated before the base was known (the initial deal of ShardedFrom
-// constructs each shard's Dynamic first). Called once at construction,
+// constructs each shard's dynamic first). Called once at construction,
 // before any record is ingested.
-func (d *Dynamic) rebaseIDs(base uint64) {
+func (d *dynamic) rebaseIDs(base uint64) {
 	d.idBase = base
 	d.idSeq = 0
 	for i := range d.ids {
@@ -148,42 +147,22 @@ func (d *Dynamic) rebaseIDs(base uint64) {
 	}
 }
 
-// SetJournal attaches a group-lifecycle journal: group foundings, splits
-// (with parent→child lineage), and router rebuilds are then recorded as
-// structured events stamped with this engine's shard index and the
-// triggering mutation generation. A nil journal (the default) disables
-// recording at one nil check per event site. The journal is observe-only
-// — it never touches the rng stream or the group moments, so condensed
-// output is bit-identical with it on or off.
-func (d *Dynamic) SetJournal(j *telemetry.Journal) { d.jr = j }
-
 // bump advances the mutation generation at the start of a state change,
 // so a generation-keyed cache can never mistake a pre-mutation snapshot
 // for current state.
-func (d *Dynamic) bump() { d.lastMut = d.gen.Add(1) }
+func (d *dynamic) bump() { d.lastMut = d.gen.Add(1) }
 
-// Generation returns the engine's mutation generation. It advances on
-// every applied record (group splits ride along) and is stable across
-// pure reads, so an equal generation implies bit-identical condensed
-// state. Reading it needs no lock: the counter is atomic.
-func (d *Dynamic) Generation() uint64 { return d.gen.Load() }
-
-// SetTelemetry attaches a metrics registry: Add and AddBatch then count
-// stream records and split events, time the nearest-centroid routing (the
+// setTelemetry attaches a metrics registry: ingest then counts stream
+// records and split events, times the nearest-centroid routing (the
 // dynamic engine's neighbour search — sampled one record in
 // searchSampleEvery, so steady-state ingest pays no per-record clock
-// reads) and the statistics splits, and keep a live group-count gauge. A
-// nil registry disables recording.
-// Telemetry is observe-only and never touches the split-axis rng.
-func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
-	d.setTelemetryLabeled(reg)
-}
-
-// setTelemetryLabeled is SetTelemetry with extra label pairs stamped onto
+// reads) and the statistics splits, and keeps a live group-count gauge. A
+// nil registry disables recording. Extra label pairs are stamped onto
 // every engine series — the sharded engine passes shard="i" so per-shard
-// rates stay separable. The labels are retained so a later routing-backend
-// change re-registers the search series with them intact.
-func (d *Dynamic) setTelemetryLabeled(reg *telemetry.Registry, labels ...string) {
+// rates stay separable — and retained so a later routing-backend change
+// re-registers the search series with them intact. Telemetry is
+// observe-only and never touches the split-axis rng.
+func (d *dynamic) setTelemetry(reg *telemetry.Registry, labels ...string) {
 	d.tel = reg
 	d.telLabels = labels
 	d.met = newEngineMetrics(reg, labels...)
@@ -191,26 +170,11 @@ func (d *Dynamic) setTelemetryLabeled(reg *telemetry.Registry, labels ...string)
 	d.met.groups.Set(float64(len(d.groups)))
 }
 
-// SetTracer attaches a span tracer: Add records a sampled per-record
-// ingest span (with a split child when the record triggers one), and
-// AddBatch records one batch span with a child per split — nested under
-// the span in the caller's context, if any. A nil tracer (the default)
-// disables tracing; a disabled or unsampled record costs one nil check
-// and one atomic load, preserving the 0 allocs/record hot path.
-// Tracing is observe-only and never touches the split-axis rng.
-func (d *Dynamic) SetTracer(tr *telemetry.Tracer) { d.tr = tr }
-
-// NewDynamic creates a dynamic condenser seeded from a static condensation
+// newDynamic creates a dynamic condenser seeded from a static condensation
 // of an initial database, per the paper's H = CreateCondensedGroups(k, D)
 // initialization. The Condensation's groups are copied.
-func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
-	if initial == nil {
-		return nil, errors.New("core: nil initial condensation")
-	}
-	if r == nil {
-		return nil, errors.New("core: nil random source")
-	}
-	d := &Dynamic{
+func newDynamic(initial *Condensation, r *rng.Source) (*dynamic, error) {
+	d := &dynamic{
 		k:      initial.k,
 		dim:    initial.dim,
 		opts:   initial.opts,
@@ -232,74 +196,66 @@ func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
 	return d, nil
 }
 
-// NewDynamicEmpty creates a dynamic condenser with no initial database.
+// newDynamicEmpty creates a dynamic condenser with no initial database.
 // The first arriving record founds the first group. Until the first group
 // reaches k records the structure cannot guarantee k-indistinguishability;
 // the paper's setting always provides an initial database, so this
-// constructor exists for pure-stream deployments and tests.
-func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// constructor exists for pure-stream deployments.
+func newDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*dynamic, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: dimension %d, must be ≥ 1", dim)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", k)
-	}
-	if r == nil {
-		return nil, errors.New("core: nil random source")
-	}
-	d := &Dynamic{k: k, dim: dim, opts: opts, r: r, gen: new(atomic.Uint64)}
+	d := &dynamic{k: k, dim: dim, opts: opts, r: r, gen: new(atomic.Uint64)}
 	d.initRouter()
 	return d, nil
 }
 
-// K returns the indistinguishability level.
-func (d *Dynamic) K() int { return d.k }
-
-// Dim returns the attribute dimensionality.
-func (d *Dynamic) Dim() int { return d.dim }
-
 // NumGroups returns the current number of groups.
-func (d *Dynamic) NumGroups() int { return len(d.groups) }
+func (d *dynamic) NumGroups() int { return len(d.groups) }
 
 // TotalCount returns the number of records condensed so far. The count is
 // maintained incrementally on ingest (splits conserve it), so frequent
 // health and stats reads never scan the group list under the serving lock.
-func (d *Dynamic) TotalCount() int { return d.total }
+func (d *dynamic) TotalCount() int { return d.total }
 
 // Splits returns the number of group splits performed so far.
-func (d *Dynamic) Splits() int { return d.splits }
+func (d *dynamic) Splits() int { return d.splits }
 
-// maxMagnitude bounds the attribute values the engines accept. Squares of
-// such values, and their sums over any realistic record count, stay far
-// below the float64 range, so group moments, centroid distances, and
-// split offsets remain finite; a larger finite value could overflow a
-// second-order sum to +Inf and leave routing with no finite distance.
-const maxMagnitude = 1e100
+// maxRecord bounds the attribute values the engines admit. It is chosen
+// so that no group the engine can reach, split children included, fails
+// the checkpoint screen of checkMomentBounds (|Fs_j| ≤ n·maxMagnitude,
+// Sc_jj ≤ n·maxMagnitude²), even though an Eq. 3 split can put a child
+// mean outside the range of the data. Every group keeps Sc_jj ≥ 0 (a sum
+// of squares; for split children k·C_jj + Fs_j²/k with C clamped PSD),
+// and the groups' Sc_jj sum to Σ x_j² over the stream because splits
+// conserve the pooled moments. So for any group n·mean_j² ≤ Sc_jj ≤ N·M²
+// on a stream of N records bounded by M, which gives |Fs_j| ≤ n·√N·M and
+// Sc_jj ≤ N·M². With N < 2⁶³ (√N < 3.04e9) and M = 1e90 both stay at
+// least a factor 3 inside the screen, which absorbs the rounding of the
+// conservation.
+const maxRecord = 1e90
 
 // ErrInvalidRecord is wrapped by every error that rejects a record for
 // its shape or values, so callers can tell bad input from engine faults.
 var ErrInvalidRecord = errors.New("core: invalid record")
 
 // validateRecord rejects records the engines cannot condense: a wrong
-// dimension, or a value that is NaN, infinite, or beyond ±maxMagnitude.
+// dimension, or a value that is NaN, infinite, or beyond ±maxRecord.
 func validateRecord(x mat.Vector, dim int) error {
 	if len(x) != dim {
 		return fmt.Errorf("%w: dimension %d, want %d", ErrInvalidRecord, len(x), dim)
 	}
 	for j, v := range x {
-		if !(math.Abs(v) <= maxMagnitude) {
-			return fmt.Errorf("%w: attribute %d is %g, outside ±%g", ErrInvalidRecord, j, v, maxMagnitude)
+		if !(math.Abs(v) <= maxRecord) {
+			return fmt.Errorf("%w: attribute %d is %g, outside ±%g", ErrInvalidRecord, j, v, maxRecord)
 		}
 	}
 	return nil
 }
 
-// Add routes one stream record to the group with the nearest centroid and
-// splits that group if it reaches 2k records.
-func (d *Dynamic) Add(x mat.Vector) error {
+// Add routes one validated stream record to the group with the nearest
+// centroid and splits that group if it reaches 2k records.
+func (d *dynamic) Add(x mat.Vector) error {
 	sp := d.tr.StartChild(nil, "dynamic.add")
 	if sp == nil {
 		return d.add(x, nil)
@@ -313,10 +269,7 @@ func (d *Dynamic) Add(x mat.Vector) error {
 }
 
 // add is Add's body, with sp the sampled per-record span (usually nil).
-func (d *Dynamic) add(x mat.Vector, sp *telemetry.Span) error {
-	if err := validateRecord(x, d.dim); err != nil {
-		return err
-	}
+func (d *dynamic) add(x mat.Vector, sp *telemetry.Span) error {
 	if len(d.groups) == 0 {
 		return d.found(x)
 	}
@@ -325,37 +278,11 @@ func (d *Dynamic) add(x mat.Vector, sp *telemetry.Span) error {
 	return d.ingest(best, x, sp)
 }
 
-// AddBatch ingests a batch of records; see AddBatchContext.
-func (d *Dynamic) AddBatch(records []mat.Vector) error {
-	return d.AddBatchContext(context.Background(), records)
-}
-
-// AddBatchContext ingests a batch all or nothing. The whole batch is
-// validated and the context checked once, before any record is applied:
-// a malformed record or a done context rejects the batch untouched.
-// After that every record is applied in order through the same route and
-// ingest steps Add uses, so the condensation — groups, centroids, rng
-// stream — is bit-identical to an Add loop over the same records.
-func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
-	for i, x := range records {
-		if err := validateRecord(x, d.dim); err != nil {
-			return fmt.Errorf("core: batch record %d: %w", i, err)
-		}
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: batch cancelled before apply: %w", err)
-	}
-	return d.applyBatch(ctx, records)
-}
-
 // applyBatch applies an already validated batch in order under one
 // dynamic.add_batch span (nested under ctx's span, if any). ctx carries
 // only the trace parent: the cancellation decision was made by the
 // caller, so the batch is applied whole.
-func (d *Dynamic) applyBatch(ctx context.Context, records []mat.Vector) error {
+func (d *dynamic) applyBatch(ctx context.Context, records []mat.Vector) error {
 	_, sp := d.tr.Start(ctx, "dynamic.add_batch")
 	sp.SetAttrInt("records", len(records))
 	defer sp.End()
@@ -375,7 +302,7 @@ func (d *Dynamic) applyBatch(ctx context.Context, records []mat.Vector) error {
 
 // found admits the very first stream record of an empty condenser: it
 // founds group 0.
-func (d *Dynamic) found(x mat.Vector) error {
+func (d *dynamic) found(x mat.Vector) error {
 	d.bump()
 	g := stats.NewGroup(d.dim)
 	if err := g.Add(x); err != nil {
@@ -407,7 +334,7 @@ func (d *Dynamic) found(x mat.Vector) error {
 
 // route finds the nearest centroid in H to x through the configured
 // router, timing one record in searchSampleEvery.
-func (d *Dynamic) route(x mat.Vector) int {
+func (d *dynamic) route(x mat.Vector) int {
 	d.routed++
 	if d.met.enabled && d.routed%searchSampleEvery == 1 {
 		t0 := time.Now()
@@ -423,9 +350,9 @@ func (d *Dynamic) route(x mat.Vector) int {
 // place (no allocation), keeps the router in sync, and performs the
 // paper's split once the group reaches 2k records: delete M from H, add
 // M1 and M2 to H. sp, when non-nil, is the enclosing trace span (the
-// sampled per-record span for Add, the batch span for AddBatch); a split
+// sampled per-record span for Add, the batch span for applyBatch); a split
 // then records a child span under it.
-func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
+func (d *dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	d.bump()
 	g := d.groups[best]
 	if err := g.Add(x); err != nil {
@@ -502,7 +429,7 @@ func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 // snapshots is safe; each call still gets a fresh Condensation header, so
 // per-caller settings (parallelism, telemetry, tracer) never leak between
 // snapshots.
-func (d *Dynamic) Condensation() *Condensation {
+func (d *dynamic) Condensation() *Condensation {
 	d.snapMu.Lock()
 	if d.snapGroups == nil || d.snapGen != d.lastMut {
 		groups := make([]*stats.Group, len(d.groups))
@@ -530,7 +457,7 @@ func (d *Dynamic) Condensation() *Condensation {
 // zero length first) and returns it. It reads the retained counts
 // directly — no group cloning — so size-only consumers (per-shard stats,
 // k-invariant checks) stay O(G) ints under the shard lock.
-func (d *Dynamic) groupSizes(buf []int) []int {
+func (d *dynamic) groupSizes(buf []int) []int {
 	buf = buf[:0]
 	for _, g := range d.groups {
 		buf = append(buf, g.N())

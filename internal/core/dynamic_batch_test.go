@@ -16,7 +16,7 @@ import (
 // dynamicFingerprint captures everything the batch-equivalence contract
 // promises byte for byte: every group's exact moment encoding, the cached
 // centroids, and a synthesized sample.
-func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
+func dynamicFingerprint(t *testing.T, d *dynamic) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, g := range d.groups {
@@ -54,9 +54,9 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 }
 
 // TestAddBatchEquivalence is the determinism contract of the batch ingest
-// engine: AddBatch with any batch slicing produces bit-identical groups,
-// centroids, and synthesized output to the sequential Add loop on the same
-// seed — both from an empty condenser and from a static bootstrap. At
+// engine: AddBatchContext with any batch slicing produces bit-identical
+// groups, centroids, and synthesized output to the sequential Add loop on
+// the same seed — both from an empty engine and from a static bootstrap. At
 // k = 2 the stream founds more than dynamicIndexCutoff groups, so the
 // scan → kd-index promotion happens mid-stream (at a different record
 // offset within each slicing's batches).
@@ -65,21 +65,21 @@ func TestAddBatchEquivalence(t *testing.T) {
 	stream := gaussianRecords(21, 1200, dim)
 
 	for _, k := range []int{6, 2} {
-		build := func(boot bool) *Dynamic {
+		build := func(boot bool) *Sharded {
 			t.Helper()
 			c, err := NewCondenser(k, WithRandomSource(rng.New(24)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var d *Dynamic
+			var d *Sharded
 			if boot {
-				cond, serr := Static(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
+				cond, serr := condenseStatic(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
 				if serr != nil {
 					t.Fatal(serr)
 				}
-				d, err = c.DynamicFrom(cond)
+				d, err = c.ShardedFrom(cond, 1)
 			} else {
-				d, err = c.Dynamic(dim)
+				d, err = c.Sharded(dim, 1)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -95,22 +95,23 @@ func TestAddBatchEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, isKD := ref.router.(*kdRouter); isKD != (k == 2) {
+			refDyn := ref.shards[0].dyn
+			if _, isKD := refDyn.router.(*kdRouter); isKD != (k == 2) {
 				t.Fatalf("k=%d boot=%v: ended on %s router with %d groups",
-					k, boot, ref.router.label(), ref.NumGroups())
+					k, boot, refDyn.router.label(), ref.NumGroups())
 			}
-			want := dynamicFingerprint(t, ref)
+			want := dynamicFingerprint(t, refDyn)
 
 			for _, batch := range []int{1, 7, 256, len(stream)} {
 				d := build(boot)
 				for lo := 0; lo < len(stream); lo += batch {
 					hi := min(lo+batch, len(stream))
-					if err := d.AddBatch(stream[lo:hi]); err != nil {
+					if err := d.AddBatchContext(context.Background(), stream[lo:hi]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-					t.Fatalf("k=%d boot=%v batch=%d: AddBatch diverged from sequential Add loop",
+				if got := dynamicFingerprint(t, d.shards[0].dyn); !bytes.Equal(got, want) {
+					t.Fatalf("k=%d boot=%v batch=%d: AddBatchContext diverged from sequential Add loop",
 						k, boot, batch)
 				}
 			}
@@ -119,35 +120,35 @@ func TestAddBatchEquivalence(t *testing.T) {
 }
 
 // Telemetry on the batch path is observe-only: with a registry attached,
-// AddBatch must produce the same bytes, and the stream counter must still
-// count every record exactly once.
+// it must produce the same bytes, and the stream counter must still count
+// every record exactly once.
 func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	const k, dim = 5, 3
 	stream := gaussianRecords(31, 500, dim)
 
-	plain, err := NewDynamicEmpty(dim, k, Options{}, rng.New(32))
+	plain, err := newDynamicEmpty(dim, k, Options{}, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.AddBatch(stream); err != nil {
+	if err := plain.applyBatch(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
 	want := dynamicFingerprint(t, plain)
 
 	reg := telemetry.NewRegistry()
-	instr, err := NewDynamicEmpty(dim, k, Options{}, rng.New(32))
+	instr, err := newDynamicEmpty(dim, k, Options{}, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr.SetTelemetry(reg)
-	if err := instr.AddBatch(stream[:200]); err != nil {
+	instr.setTelemetry(reg)
+	if err := instr.applyBatch(context.Background(), stream[:200]); err != nil {
 		t.Fatal(err)
 	}
-	if err := instr.AddBatch(stream[200:]); err != nil {
+	if err := instr.applyBatch(context.Background(), stream[200:]); err != nil {
 		t.Fatal(err)
 	}
 	if got := dynamicFingerprint(t, instr); !bytes.Equal(got, want) {
-		t.Fatal("telemetry changed AddBatch output")
+		t.Fatal("telemetry changed batch output")
 	}
 	if got := reg.Counter(metricStreamRecords).Value(); got != 500 {
 		t.Errorf("stream_records = %d, want 500", got)
@@ -160,31 +161,41 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	}
 }
 
-func TestAddBatchValidatesUpFront(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(41))
+// singleShard returns an empty single-shard engine at level k over records
+// of dimension dim, drawing from rng.New(seed).
+func singleShard(t *testing.T, k, dim int, seed uint64) *Sharded {
+	t.Helper()
+	c, err := NewCondenser(k, WithRandomSource(rng.New(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := c.Sharded(dim, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestAddBatchValidatesUpFront(t *testing.T) {
+	d := singleShard(t, 3, 2, 41)
+	ctx := context.Background()
 	batch := []mat.Vector{{1, 2}, {3, 4}, {5}}
-	if err := d.AddBatch(batch); err == nil {
+	if err := d.AddBatchContext(ctx, batch); err == nil {
 		t.Fatal("short record accepted")
 	}
 	if d.TotalCount() != 0 {
 		t.Errorf("TotalCount = %d after rejected batch, want 0", d.TotalCount())
 	}
-	if err := d.AddBatch([]mat.Vector{{1, math.NaN()}}); err == nil {
+	if err := d.AddBatchContext(ctx, []mat.Vector{{1, math.NaN()}}); err == nil {
 		t.Error("non-finite record accepted")
 	}
-	if err := d.AddBatch(nil); err != nil {
+	if err := d.AddBatchContext(ctx, nil); err != nil {
 		t.Errorf("empty batch rejected: %v", err)
 	}
 }
 
 func TestAddBatchCancelled(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := singleShard(t, 3, 2, 42)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := d.AddBatchContext(ctx, gaussianRecords(43, 50, 2)); err == nil {
@@ -194,7 +205,7 @@ func TestAddBatchCancelled(t *testing.T) {
 		t.Errorf("TotalCount = %d after pre-cancelled batch, want 0", d.TotalCount())
 	}
 	// A live context ingests normally afterwards.
-	if err := d.AddBatch(gaussianRecords(43, 50, 2)); err != nil {
+	if err := d.AddBatchContext(context.Background(), gaussianRecords(43, 50, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if d.TotalCount() != 50 {
@@ -208,17 +219,17 @@ func TestAddBatchCancelled(t *testing.T) {
 func TestDynamicAutoPromotion(t *testing.T) {
 	const k = 2
 	reg := telemetry.NewRegistry()
-	d, err := NewDynamicEmpty(3, k, Options{}, rng.New(44))
+	d, err := newDynamicEmpty(3, k, Options{}, rng.New(44))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetTelemetry(reg)
+	d.setTelemetry(reg)
 	if _, isScan := d.router.(*scanRouter); !isScan {
 		t.Fatal("routing did not start on the scan router")
 	}
 	// Enough records to push the group count past the cutoff: groups hold
 	// at most 2k−1 = 3 records, so 4·cutoff records guarantee promotion.
-	if err := d.AddBatch(gaussianRecords(45, 4*dynamicIndexCutoff, 3)); err != nil {
+	if err := d.applyBatch(context.Background(), gaussianRecords(45, 4*dynamicIndexCutoff, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if d.NumGroups() < dynamicIndexCutoff {
@@ -261,26 +272,6 @@ func TestAddBatchAllOrNothing(t *testing.T) {
 	c, err := NewCondenser(k, WithSeed(52))
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	ref, err := c.Dynamic(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range stream {
-		if err := ref.Add(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := c.Dynamic(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddBatchContext(&liveOnceCtx{Context: context.Background()}, stream); err != nil {
-		t.Fatalf("Dynamic: cancellation after the apply decision returned %v, want nil", err)
-	}
-	if !bytes.Equal(dynamicFingerprint(t, d), dynamicFingerprint(t, ref)) {
-		t.Fatal("Dynamic: batch under a late-cancelled context differs from the Add loop")
 	}
 
 	for _, shards := range []int{1, 4} {

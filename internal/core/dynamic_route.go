@@ -48,11 +48,11 @@ type centroidRouter interface {
 // contiguous kernel sweep (O(G·d), no pointer chasing). update and add
 // mirror the engine's in-place centroid cache into the arena.
 type scanRouter struct {
-	d     *Dynamic
+	d     *dynamic
 	arena []float64 // row i = d.centroids[i], kept current
 }
 
-func newScanRouter(d *Dynamic) *scanRouter {
+func newScanRouter(d *dynamic) *scanRouter {
 	s := &scanRouter{d: d, arena: make([]float64, 0, len(d.centroids)*d.dim)}
 	for _, c := range d.centroids {
 		s.arena = append(s.arena, c...)
@@ -80,11 +80,11 @@ func (*scanRouter) label() string { return "centroid-scan" }
 // tie-break are the index's contract, proven against the scan by
 // TestCentroidIndexMatchesScan and TestAddBatchEquivalence.
 type kdRouter struct {
-	d   *Dynamic
+	d   *dynamic
 	idx *knn.CentroidIndex
 }
 
-func newKDRouter(d *Dynamic) *kdRouter {
+func newKDRouter(d *dynamic) *kdRouter {
 	idx, err := knn.NewCentroidIndex(d.dim, d.centroids)
 	if err != nil {
 		// Unreachable: the engine validated every centroid's dimension.
@@ -112,7 +112,7 @@ func (*kdRouter) label() string { return "centroid-kdtree" }
 
 // initRouter builds the router for the current group count: the scan
 // below dynamicIndexCutoff groups, the kd-index at or above it.
-func (d *Dynamic) initRouter() {
+func (d *dynamic) initRouter() {
 	if len(d.groups) >= dynamicIndexCutoff {
 		d.router = newKDRouter(d)
 	} else {
@@ -124,7 +124,7 @@ func (d *Dynamic) initRouter() {
 // maybePromote upgrades the scan router to the kd-index once the group
 // count reaches the cutoff. Called after every group append; both routers
 // are exact, so promotion never changes routing.
-func (d *Dynamic) maybePromote() {
+func (d *dynamic) maybePromote() {
 	if len(d.groups) < dynamicIndexCutoff {
 		return
 	}

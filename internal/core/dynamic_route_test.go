@@ -11,7 +11,7 @@ import (
 // bruteNearestCentroid is the routing oracle: the lexicographic (squared
 // distance, group id) argmin over the engine's cached centroids — the
 // paper's linear scan over H, written without the kernels.
-func bruteNearestCentroid(d *Dynamic, x []float64) (int, float64) {
+func bruteNearestCentroid(d *dynamic, x []float64) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for id, c := range d.centroids {
 		var dist float64
@@ -39,14 +39,16 @@ func TestRoutingOracleAcrossPromotion(t *testing.T) {
 	const k, dim = 2, 2
 	stream := latticeRecords(61, 4*dynamicIndexCutoff, dim)
 	j := telemetry.NewJournal(1 << 14)
-	c, err := NewCondenser(k, WithSeed(62), WithJournal(j))
+	c, err := NewCondenser(k, WithSeed(62))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(dim)
+	s, err := c.Sharded(dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetJournal(j)
+	d := s.shards[0].dyn
 	for i, x := range stream {
 		_, isKD := d.router.(*kdRouter)
 		if want := len(d.groups) >= dynamicIndexCutoff; isKD != want {
@@ -60,7 +62,7 @@ func TestRoutingOracleAcrossPromotion(t *testing.T) {
 					i, len(d.groups), d.router.label(), gotID, gotD, wantID, wantD)
 			}
 		}
-		if err := d.Add(x); err != nil {
+		if err := s.Add(x); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -14,15 +15,15 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	stream := clusteredRecords(32, 100, 100)
 	k := 5
 
-	cond, err := Static(base, k, rng.New(33), Options{})
+	cond, err := condenseStatic(base, k, rng.New(33), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamic(cond, rng.New(34))
+	dyn, err := newDynamic(cond, rng.New(34))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(stream); err != nil {
+	if err := dyn.applyBatch(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -39,16 +40,16 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 func TestDynamicSplitsHappen(t *testing.T) {
 	base := clusteredRecords(35, 10, 0)
 	k := 5
-	cond, err := Static(base, k, rng.New(36), Options{})
+	cond, err := condenseStatic(base, k, rng.New(36), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := cond.NumGroups()
-	dyn, err := NewDynamic(cond, rng.New(37))
+	dyn, err := newDynamic(cond, rng.New(37))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(clusteredRecords(38, 100, 0)); err != nil {
+	if err := dyn.applyBatch(context.Background(), clusteredRecords(38, 100, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() <= before {
@@ -61,16 +62,16 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 	// check the total mass near B grows accordingly.
 	base := clusteredRecords(39, 20, 20)
 	k := 4
-	cond, err := Static(base, k, rng.New(40), Options{})
+	cond, err := condenseStatic(base, k, rng.New(40), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamic(cond, rng.New(41))
+	dyn, err := newDynamic(cond, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamB := clusteredRecords(42, 0, 60)
-	if err := dyn.AddBatch(streamB); err != nil {
+	if err := dyn.applyBatch(context.Background(), streamB); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -90,11 +91,11 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 }
 
 func TestDynamicEmptyStart(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 3, Options{}, rng.New(43))
+	dyn, err := newDynamicEmpty(2, 3, Options{}, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(clusteredRecords(44, 30, 0)); err != nil {
+	if err := dyn.applyBatch(context.Background(), clusteredRecords(44, 30, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() == 0 {
@@ -106,10 +107,7 @@ func TestDynamicEmptyStart(t *testing.T) {
 }
 
 func TestDynamicAddErrors(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 2, Options{}, rng.New(45))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dyn := singleShard(t, 2, 2, 45)
 	if err := dyn.Add(mat.Vector{1}); err == nil {
 		t.Error("wrong dimension accepted")
 	}
@@ -118,62 +116,53 @@ func TestDynamicAddErrors(t *testing.T) {
 	}
 	// A finite value whose square overflows would turn the group moments
 	// into +Inf and leave routing without a finite distance.
-	for _, v := range []float64{1e308, -1e101} {
+	for _, v := range []float64{1e308, -1e91} {
 		if err := dyn.Add(mat.Vector{1, v}); !errors.Is(err, ErrInvalidRecord) {
 			t.Errorf("attribute %g: err %v, want ErrInvalidRecord", v, err)
 		}
 	}
-	if err := dyn.Add(mat.Vector{1, maxMagnitude}); err != nil {
+	if err := dyn.Add(mat.Vector{1, maxRecord}); err != nil {
 		t.Errorf("attribute at the magnitude bound rejected: %v", err)
 	}
 }
 
 func TestDynamicConstructorErrors(t *testing.T) {
-	if _, err := NewDynamic(nil, rng.New(1)); err == nil {
-		t.Error("nil condensation accepted")
-	}
-	cond, err := Static(clusteredRecords(46, 5, 0), 2, rng.New(2), Options{})
+	c, err := NewCondenser(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDynamic(cond, nil); err == nil {
-		t.Error("nil source accepted")
+	if _, err := c.ShardedFrom(nil, 1); err == nil {
+		t.Error("nil condensation accepted")
 	}
-	if _, err := NewDynamicEmpty(0, 2, Options{}, rng.New(1)); err == nil {
+	if _, err := c.Sharded(0, 1); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := NewDynamicEmpty(2, 0, Options{}, rng.New(1)); err == nil {
+	if _, err := NewCondenser(0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewDynamicEmpty(2, 2, Options{}, nil); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := NewDynamicEmpty(2, 2, Options{SplitAxis: SplitAxis(9)}, rng.New(1)); err == nil {
+	if _, err := NewCondenser(2, WithSplitAxis(SplitAxis(9))); err == nil {
 		t.Error("bad options accepted")
 	}
 }
 
 func TestDynamicAccessors(t *testing.T) {
-	dyn, err := NewDynamicEmpty(3, 4, Options{}, rng.New(47))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dyn := singleShard(t, 4, 3, 47)
 	if dyn.K() != 4 || dyn.Dim() != 3 || dyn.NumGroups() != 0 {
 		t.Errorf("K=%d Dim=%d NumGroups=%d", dyn.K(), dyn.Dim(), dyn.NumGroups())
 	}
 }
 
 func TestDynamicCondensationSnapshotIsolated(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 2, Options{}, rng.New(48))
+	dyn, err := newDynamicEmpty(2, 2, Options{}, rng.New(48))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(clusteredRecords(49, 10, 0)); err != nil {
+	if err := dyn.applyBatch(context.Background(), clusteredRecords(49, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
 	before := snap.TotalCount()
-	if err := dyn.AddBatch(clusteredRecords(50, 10, 0)); err != nil {
+	if err := dyn.applyBatch(context.Background(), clusteredRecords(50, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if snap.TotalCount() != before {
@@ -185,11 +174,11 @@ func TestDynamicK1(t *testing.T) {
 	// The paper notes dynamic condensation with group size 1 does not
 	// reproduce the original data (splits at size 2 use the uniform
 	// approximation); it must still preserve counts and stay at size 1.
-	dyn, err := NewDynamicEmpty(2, 1, Options{}, rng.New(51))
+	dyn, err := newDynamicEmpty(2, 1, Options{}, rng.New(51))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddBatch(clusteredRecords(52, 20, 0)); err != nil {
+	if err := dyn.applyBatch(context.Background(), clusteredRecords(52, 20, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()

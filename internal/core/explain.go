@@ -33,7 +33,7 @@ const explainDefaultTop = 5
 // GroupInfo is one group's lifecycle summary, computed from the retained
 // moments and the observe-only birth annotations alone.
 type GroupInfo struct {
-	// ID is the group's stable engine-wide id (see Dynamic's id scheme).
+	// ID is the group's stable engine-wide id (see groupIDShardShift).
 	ID uint64 `json:"id"`
 	// Shard is the engine shard holding the group.
 	Shard int `json:"shard"`
@@ -83,7 +83,7 @@ type ExplainCandidate struct {
 // Explanation is the result of a routing dry-run: where a record would go
 // and what would happen to it, computed without ingesting it.
 type Explanation struct {
-	// Shard is the shard the record routes to (0 on a single Dynamic).
+	// Shard is the shard the record routes to.
 	Shard int `json:"shard"`
 	// Generation is the mutation generation the dry-run observed; the
 	// explanation is exact for this state.
@@ -102,7 +102,7 @@ type Explanation struct {
 }
 
 // groupInfoAt summarizes group slot i. Read-only; caller holds the lock.
-func (d *Dynamic) groupInfoAt(i int, g *stats.Group) GroupInfo {
+func (d *dynamic) groupInfoAt(i int, g *stats.Group) GroupInfo {
 	b := d.births[i]
 	return GroupInfo{
 		ID:              d.ids[i],
@@ -115,26 +115,18 @@ func (d *Dynamic) groupInfoAt(i int, g *stats.Group) GroupInfo {
 }
 
 // appendGroupInfos appends every group's summary to buf in slot order.
-func (d *Dynamic) appendGroupInfos(buf []GroupInfo) []GroupInfo {
+func (d *dynamic) appendGroupInfos(buf []GroupInfo) []GroupInfo {
 	for i, g := range d.groups {
 		buf = append(buf, d.groupInfoAt(i, g))
 	}
 	return buf
 }
 
-// GroupInfos appends every live group's lifecycle summary to buf (resliced
-// to zero length first) and returns it, in stable slot order. Like
-// Condensation, it is a pure read: callers sharing the engine across
-// goroutines need only a read lock.
-func (d *Dynamic) GroupInfos(buf []GroupInfo) []GroupInfo {
-	return d.appendGroupInfos(buf[:0])
-}
-
 // GroupByID returns the diagnostics detail of the live group with the
 // given stable id. The lookup is a linear scan over the group slots —
-// diagnostics cadence, not serving cadence. Pure read, like GroupInfos;
-// the eigensolve uses fresh workspaces, never the engine's split scratch.
-func (d *Dynamic) GroupByID(id uint64) (GroupDetail, bool) {
+// diagnostics cadence, not serving cadence. Pure read; the eigensolve
+// uses fresh workspaces, never the engine's split scratch.
+func (d *dynamic) GroupByID(id uint64) (GroupDetail, bool) {
 	for i := range d.ids {
 		if d.ids[i] == id {
 			return d.groupDetailAt(i), true
@@ -144,7 +136,7 @@ func (d *Dynamic) GroupByID(id uint64) (GroupDetail, bool) {
 }
 
 // groupDetailAt builds the detail view of group slot i.
-func (d *Dynamic) groupDetailAt(i int) GroupDetail {
+func (d *dynamic) groupDetailAt(i int) GroupDetail {
 	g := d.groups[i]
 	det := GroupDetail{
 		GroupInfo:     d.groupInfoAt(i, g),
@@ -180,17 +172,14 @@ func (d *Dynamic) groupDetailAt(i int) GroupDetail {
 // rng stream — so checkpoint bytes and condensed output are bit-identical
 // whether Explain was called or not. Callers sharing the engine across
 // goroutines need only a read lock.
-func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := validateRecord(x, d.dim); err != nil {
-		return nil, err
-	}
+func (d *dynamic) Explain(x mat.Vector, top int) *Explanation {
 	if top <= 0 {
 		top = explainDefaultTop
 	}
 	ex := &Explanation{Shard: d.shardIndex, Generation: d.lastMut, Groups: len(d.groups)}
 	if len(d.groups) == 0 {
 		ex.Outcome = ExplainFound
-		return ex, nil
+		return ex
 	}
 
 	type slotDist struct {
@@ -228,7 +217,7 @@ func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
 	} else {
 		ex.Outcome = ExplainAbsorb
 	}
-	return ex, nil
+	return ex
 }
 
 // GroupInfos appends every shard's group summaries to buf (resliced to
@@ -269,7 +258,7 @@ func (s *Sharded) Explain(x mat.Vector, top int) (*Explanation, error) {
 	}
 	sh := s.shards[s.shardOf(x)]
 	sh.mu.RLock()
-	ex, err := sh.dyn.Explain(x, top)
+	ex := sh.dyn.Explain(x, top)
 	sh.mu.RUnlock()
-	return ex, err
+	return ex, nil
 }

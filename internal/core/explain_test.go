@@ -10,26 +10,14 @@ import (
 	"condensation/internal/telemetry"
 )
 
-func buildDynamic(t *testing.T, k, dim int, opts ...CondenserOption) *Dynamic {
-	t.Helper()
-	c, err := NewCondenser(k, append([]CondenserOption{WithSeed(5)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Dynamic(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 // TestGroupIDsStableAndUnique: every live group carries a distinct id,
 // ids survive absorbs unchanged, and a split retires the parent id in
 // favour of two fresh children that both name it as parent.
 func TestGroupIDsStableAndUnique(t *testing.T) {
 	const k, dim = 5, 3
 	jr := telemetry.NewJournal(1024)
-	d := buildDynamic(t, k, dim, WithJournal(jr))
+	d := singleShard(t, k, dim, 5)
+	d.SetJournal(jr)
 	stream := gaussianRecords(17, 400, dim)
 	for _, x := range stream {
 		if err := d.Add(x); err != nil {
@@ -50,7 +38,7 @@ func TestGroupIDsStableAndUnique(t *testing.T) {
 		}
 		seen[gi.ID] = true
 		if gi.Shard != 0 {
-			t.Fatalf("unsharded engine reported shard %d", gi.Shard)
+			t.Fatalf("single-shard engine reported shard %d", gi.Shard)
 		}
 		if gi.Size < k {
 			t.Fatalf("group %d reports size %d < k", gi.ID, gi.Size)
@@ -150,8 +138,9 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 func TestJournalObserveOnly(t *testing.T) {
 	const k, dim = 6, 4
 	stream := gaussianRecords(11, 800, dim)
-	ingest := func(t *testing.T, opts ...CondenserOption) *Dynamic {
-		d := buildDynamic(t, k, dim, opts...)
+	ingest := func(t *testing.T, jr *telemetry.Journal) *Sharded {
+		d := singleShard(t, k, dim, 5)
+		d.SetJournal(jr)
 		for _, x := range stream {
 			if err := d.Add(x); err != nil {
 				t.Fatal(err)
@@ -159,9 +148,9 @@ func TestJournalObserveOnly(t *testing.T) {
 		}
 		return d
 	}
-	off := ingest(t)
-	on := ingest(t, WithJournal(telemetry.NewJournal(256)))
-	if !bytes.Equal(dynamicFingerprint(t, off), dynamicFingerprint(t, on)) {
+	off := ingest(t, nil)
+	on := ingest(t, telemetry.NewJournal(256))
+	if !bytes.Equal(dynamicFingerprint(t, off.shards[0].dyn), dynamicFingerprint(t, on.shards[0].dyn)) {
 		t.Fatal("journal-on fingerprint differs from journal-off")
 	}
 	if !bytes.Equal(checkpointBytes(t, off), checkpointBytes(t, on)) {
@@ -174,7 +163,7 @@ func TestJournalObserveOnly(t *testing.T) {
 // from scratch without colliding with itself.
 func TestGroupIDsNotSerialized(t *testing.T) {
 	const k, dim = 5, 3
-	d := buildDynamic(t, k, dim)
+	d := singleShard(t, k, dim, 5)
 	for _, x := range gaussianRecords(7, 300, dim) {
 		if err := d.Add(x); err != nil {
 			t.Fatal(err)
@@ -195,7 +184,7 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := c.DynamicFrom(cond)
+	resumed, err := c.ShardedFrom(cond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +211,14 @@ func TestExplainMatchesRouting(t *testing.T) {
 	const k, dim = 5, 3
 	// Routing is always float64; the subtest name keeps the case explicit.
 	t.Run("precision=float64", func(t *testing.T) {
-		d := buildDynamic(t, k, dim, WithIndexPrecision(Float64))
+		c, err := NewCondenser(k, WithSeed(5), WithIndexPrecision(Float64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.Sharded(dim, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		warm := gaussianRecords(31, 250, dim)
 		probes := gaussianRecords(32, 60, dim)
 		for _, x := range warm {
@@ -283,7 +279,7 @@ func TestExplainMatchesRouting(t *testing.T) {
 // TestExplainFoundOnEmpty: an empty engine explains every record as a
 // founding ingest.
 func TestExplainFoundOnEmpty(t *testing.T) {
-	d := buildDynamic(t, 5, 3)
+	d := singleShard(t, 5, 3, 5)
 	ex, err := d.Explain(mat.Vector{1, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +300,7 @@ func TestExplainFoundOnEmpty(t *testing.T) {
 func TestExplainSideEffectFree(t *testing.T) {
 	const k, dim = 5, 3
 	t.Run("dynamic", func(t *testing.T) {
-		d := buildDynamic(t, k, dim)
+		d := singleShard(t, k, dim, 5)
 		for _, x := range gaussianRecords(41, 300, dim) {
 			if err := d.Add(x); err != nil {
 				t.Fatal(err)
@@ -326,7 +322,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 		}
 		// The rng stream is untouched too: ingest after the dry-runs must
 		// match an engine that never explained anything.
-		ref := buildDynamic(t, k, dim)
+		ref := singleShard(t, k, dim, 5)
 		for _, x := range gaussianRecords(41, 300, dim) {
 			if err := ref.Add(x); err != nil {
 				t.Fatal(err)
@@ -340,7 +336,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(dynamicFingerprint(t, d), dynamicFingerprint(t, ref)) {
+		if !bytes.Equal(dynamicFingerprint(t, d.shards[0].dyn), dynamicFingerprint(t, ref.shards[0].dyn)) {
 			t.Fatal("post-explain ingest diverged from the never-explained engine")
 		}
 	})
@@ -407,7 +403,8 @@ func TestExplainSideEffectFree(t *testing.T) {
 func TestGroupLineageDrift(t *testing.T) {
 	const k, dim = 5, 2
 	jr := telemetry.NewJournal(256)
-	d := buildDynamic(t, k, dim, WithJournal(jr))
+	d := singleShard(t, k, dim, 5)
+	d.SetJournal(jr)
 	for _, x := range gaussianRecords(61, 600, dim) {
 		if err := d.Add(x); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(2)
+	d, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 		}
 	}
 
-	// AddBatch advances the generation once per applied record; splits
+	// AddBatchContext advances the generation once per applied record; splits
 	// ride along inside the apply and add no extra steps, so the counter
 	// stays comparable across ingest paths.
 	before := d.Generation()
-	if err := d.AddBatch(records[20:]); err != nil {
+	if err := d.AddBatchContext(context.Background(), records[20:]); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.Generation(), before+uint64(len(records)-20); got != want {
@@ -65,7 +65,7 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 	g := d.Generation()
 	_ = d.Condensation()
 	_ = d.Condensation()
-	_ = d.groupSizes(nil)
+	_ = d.ShardGroupSizes(0, nil)
 	_ = d.NumGroups()
 	_ = d.TotalCount()
 	if got := d.Generation(); got != g {
@@ -113,12 +113,12 @@ func TestSnapshotCacheReuseAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(2)
+	d, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	records := clusteredRecords(45, 40, 40)
-	if err := d.AddBatch(records); err != nil {
+	if err := d.AddBatchContext(context.Background(), records); err != nil {
 		t.Fatal(err)
 	}
 

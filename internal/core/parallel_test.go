@@ -12,7 +12,7 @@ import (
 // the synthesized records are bit-identical for every worker count.
 func TestSynthesizeParallelEquivalence(t *testing.T) {
 	recs := correlatedRecords(30, 120)
-	cond, err := Static(recs, 8, rng.New(31), Options{})
+	cond, err := condenseStatic(recs, 8, rng.New(31), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSynthesizeParallelEquivalence(t *testing.T) {
 // Gaussian ablation mode, whose draw pattern differs per point.
 func TestSynthesizeParallelGaussian(t *testing.T) {
 	recs := correlatedRecords(33, 90)
-	cond, err := Static(recs, 6, rng.New(34), Options{Synthesis: SynthesisGaussian})
+	cond, err := condenseStatic(recs, 6, rng.New(34), Options{Synthesis: SynthesisGaussian})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestSynthesizeParallelGaussian(t *testing.T) {
 
 // TestAnonymizeParallelEquivalence checks the knob end to end: a full
 // Anonymize run (condense + synthesize per class) produces the identical
-// data set at every parallelism, and the facade's WithParallelism option
-// reaches synthesis too.
+// data set at every parallelism, so the WithParallelism option reaches
+// synthesis without changing it.
 func TestAnonymizeParallelEquivalence(t *testing.T) {
 	ds := toyClassification(36, 50)
 	run := func(p int) ([][]float64, error) {
-		anon, _, err := Anonymize(ds, AnonymizeConfig{K: 5, Parallelism: p}, rng.New(37))
+		anon, _, err := anonymize(ds, 5, rng.New(37), WithParallelism(p))
 		if err != nil {
 			return nil, err
 		}
@@ -103,35 +103,17 @@ func TestAnonymizeParallelEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("Anonymize output differs between 1 and 8 workers")
 	}
-
-	for _, p := range []int{1, 8} {
-		c, err := NewCondenser(5, WithSeed(37), WithParallelism(p), WithRandomSource(rng.New(37)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		anon, _, err := c.Anonymize(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([][]float64, len(anon.X))
-		for i, x := range anon.X {
-			got[i] = x
-		}
-		if !reflect.DeepEqual(seq, got) {
-			t.Errorf("Condenser.Anonymize with parallelism %d differs from sequential Anonymize", p)
-		}
-	}
 }
 
 // TestMergePropagatesParallelism pins that merged condensations keep the
 // first input's synthesis parallelism.
 func TestMergePropagatesParallelism(t *testing.T) {
 	recs := correlatedRecords(38, 40)
-	a, err := Static(recs[:20], 4, rng.New(39), Options{})
+	a, err := condenseStatic(recs[:20], 4, rng.New(39), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Static(recs[20:], 4, rng.New(40), Options{})
+	b, err := condenseStatic(recs[20:], 4, rng.New(40), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

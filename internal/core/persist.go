@@ -156,11 +156,15 @@ func ReadCondensation(r io.Reader) (*Condensation, error) {
 	return newCondensation(dim, k, opts, groups), nil
 }
 
-// checkMomentBounds rejects a restored group whose moments no group of n
-// valid records (each attribute within ±maxMagnitude) can have: |Fs_j| >
-// n·maxMagnitude or Sc_jj > n·maxMagnitude². Such a group could overflow
-// its sums to ±Inf on the next absorb, leaving routing with no finite
-// centroid distance.
+// maxMagnitude is the per-attribute scale of the checkpoint screen. It
+// lies far enough above maxRecord, the bound on admitted records, that
+// every checkpoint the engine writes passes the screen (see maxRecord).
+const maxMagnitude = 1e100
+
+// checkMomentBounds rejects a restored group whose moments the engine can
+// never produce: |Fs_j| > n·maxMagnitude or Sc_jj > n·maxMagnitude². Such
+// a group could overflow its sums to ±Inf on the next absorb, leaving
+// routing with no finite centroid distance.
 func checkMomentBounds(g *stats.Group) error {
 	n := float64(g.N())
 	fs, sc := g.FirstOrderSums(), g.SecondOrderSums()

@@ -13,7 +13,7 @@ import (
 
 func TestCondensationRoundTrip(t *testing.T) {
 	recs := clusteredRecords(61, 20, 20)
-	orig, err := Static(recs, 5, rng.New(62), Options{
+	orig, err := condenseStatic(recs, 5, rng.New(62), Options{
 		Synthesis: SynthesisGaussian,
 		SplitAxis: SplitRandom,
 		Leftover:  LeftoverOwnGroup,
@@ -73,7 +73,7 @@ func TestReadCondensationRejectsGarbage(t *testing.T) {
 	}
 	// Corrupt a valid stream's version field.
 	recs := clusteredRecords(64, 6, 0)
-	cond, err := Static(recs, 2, rng.New(65), Options{})
+	cond, err := condenseStatic(recs, 2, rng.New(65), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReadCondensationRejectsNonFinite(t *testing.T) {
 
 func TestReadCondensationRejectsBadOptions(t *testing.T) {
 	recs := clusteredRecords(66, 6, 0)
-	cond, err := Static(recs, 2, rng.New(67), Options{})
+	cond, err := condenseStatic(recs, 2, rng.New(67), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestReadCondensationRejectsBadOptions(t *testing.T) {
 }
 
 func TestClassCondensationsRoundTrip(t *testing.T) {
-	a, err := Static(clusteredRecords(70, 10, 0), 3, rng.New(71), Options{})
+	a, err := condenseStatic(clusteredRecords(70, 10, 0), 3, rng.New(71), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Static(clusteredRecords(72, 0, 14), 4, rng.New(73), Options{})
+	b, err := condenseStatic(clusteredRecords(72, 0, 14), 4, rng.New(73), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestClassCondensationsErrors(t *testing.T) {
 		t.Error("zero stream accepted")
 	}
 	// Valid stream, truncated body.
-	a, err := Static(clusteredRecords(74, 8, 0), 2, rng.New(75), Options{})
+	a, err := condenseStatic(clusteredRecords(74, 8, 0), 2, rng.New(75), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestStaticInvariantsProperty(t *testing.T) {
 		d := 1 + r.IntN(5)
 		k := 1 + r.IntN(15)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condenseStatic(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}
@@ -67,7 +67,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 1 + r.IntN(10)
 		streamLen := 1 + r.IntN(200)
-		dyn, err := NewDynamicEmpty(d, k, Options{}, r.Split())
+		dyn, err := newDynamicEmpty(d, k, Options{}, r.Split())
 		if err != nil {
 			return false
 		}
@@ -93,8 +93,8 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: under arbitrary interleavings of Add and AddBatch — random
-// batch sizes — a dynamic condenser bootstrapped from a static
+// Property: under arbitrary interleavings of Add and AddBatchContext —
+// random batch sizes — a single-shard engine bootstrapped from a static
 // condensation keeps every group inside the paper's steady-state band
 // k ≤ n(G) ≤ 2k−1 and never loses a record. (Splits interleave
 // implicitly: any group reaching 2k is split on the spot, which is what
@@ -104,7 +104,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 	// check runs one random interleaving and returns the engine, or nil
 	// if an invariant broke.
-	check := func(seed uint64, long bool) *Dynamic {
+	check := func(seed uint64, long bool) *Sharded {
 		r := rng.New(seed)
 		d := 1 + r.IntN(4)
 		k := 2 + r.IntN(8)
@@ -113,7 +113,7 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 			k, ops = 2, 60
 		}
 		base := randomRecords(r, k+r.IntN(4*k), d)
-		cond, err := Static(base, k, r.Split(), Options{})
+		cond, err := condenseStatic(base, k, r.Split(), Options{})
 		if err != nil {
 			return nil
 		}
@@ -121,7 +121,7 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		if err != nil {
 			return nil
 		}
-		dyn, err := c.DynamicFrom(cond)
+		dyn, err := c.ShardedFrom(cond, 1)
 		if err != nil {
 			return nil
 		}
@@ -135,7 +135,7 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 				total++
 			} else {
 				batch := randomRecords(r, r.IntN(60), d)
-				if err := dyn.AddBatch(batch); err != nil {
+				if err := dyn.AddBatchContext(context.Background(), batch); err != nil {
 					return nil
 				}
 				total += len(batch)
@@ -159,9 +159,10 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 	if dyn == nil {
 		t.Fatal("long k = 2 interleaving broke an invariant")
 	}
-	if _, isKD := dyn.router.(*kdRouter); !isKD {
+	router := dyn.shards[0].dyn.router
+	if _, isKD := router.(*kdRouter); !isKD {
 		t.Fatalf("long interleaving ended on the %s router with %d groups, want the kd-index",
-			dyn.router.label(), dyn.NumGroups())
+			router.label(), dyn.NumGroups())
 	}
 }
 
@@ -283,7 +284,7 @@ func TestSynthesisGroupMeanProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 5 + r.IntN(10)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condenseStatic(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}
@@ -333,7 +334,7 @@ func TestSplitMassBalanceProperty(t *testing.T) {
 				return false
 			}
 		}
-		m1, m2, err := SplitGroup(g, k, SplitPrincipal, nil)
+		m1, m2, err := splitGroupWith(g, k, SplitPrincipal, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -356,7 +357,7 @@ func TestPersistRoundTripProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 1 + r.IntN(8)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condenseStatic(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}

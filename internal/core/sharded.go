@@ -15,27 +15,25 @@ import (
 	"condensation/internal/telemetry"
 )
 
-// Sharded is a dynamic condenser engine built from N independent Dynamic
-// shards, each owning its own lock, centroid router, rng stream, and
-// telemetry labels. Records are routed to shards deterministically — by a
-// stable hash of the record bytes, or by one designated attribute (e.g. a
-// class label column) — so the same stream always lands on the same
-// shards in the same order and the condensed state is reproducible bit for
-// bit at any fixed shard count.
+// Sharded is the dynamic condenser engine (Figure 2 of the paper), built
+// from N independent shards, each owning its own lock, centroid router,
+// rng stream, and telemetry labels. Records are routed to shards
+// deterministically by a stable hash of the record bytes, so the same
+// stream always lands on the same shards in the same order and the
+// condensed state is reproducible bit for bit at any fixed shard count.
 //
 // Sharding preserves the paper's privacy contract: each shard maintains
 // the k ≤ n(G) ≤ 2k−1 group-size invariant independently, and the merged
 // state is simply the union of per-shard group sets — exactly the
 // composition argument behind Merge (and behind microaggregation
 // partitioning generally), so every merged group still condenses at least
-// k records.
+// k records. One shard is therefore a complete engine: a single-shard
+// Sharded runs the paper's maintenance over the whole stream.
 //
 // Sharded is the engine the server and the stream driver run, and it is
 // safe for concurrent use: reads take per-shard read locks and writes take
 // only the locks of the shards their records hash to, so concurrent
-// batches contend per shard instead of per engine. A single-shard Sharded
-// is bit-identical to a Dynamic built from the same configuration
-// (TestEngineInterfaceEquivalence).
+// batches contend per shard instead of per engine.
 type Sharded struct {
 	k    int
 	dim  int
@@ -43,44 +41,39 @@ type Sharded struct {
 
 	shards []*engineShard
 
-	// routeAttr < 0 hashes the whole record; otherwise only attribute
-	// routeAttr is hashed, so records sharing that value share a shard.
-	routeAttr int
-
 	// met carries the unlabeled engine metrics attached to merged
 	// snapshots (synthesis stage timings); tr is the span tracer.
 	met engineMetrics
 	tr  *telemetry.Tracer
 
-	// gen is the mutation generation shared by every shard: each shard's
-	// Dynamic bumps this one counter (not a private one), so a generation
+	// gen is the mutation generation shared by every shard: each shard
+	// bumps this one counter (not a private one), so a generation
 	// value names a unique engine-wide state. Summing per-shard counters
 	// would alias distinct states (shard A +2 vs A +1 and B +1 sum the
 	// same), which would let a generation-keyed ETag serve stale bytes.
 	gen *atomic.Uint64
 }
 
-// engineShard pairs one Dynamic with its lock. The shard's Dynamic is
+// engineShard pairs one dynamic with its lock. The shard's dynamic is
 // only ever touched with mu held.
 type engineShard struct {
 	mu  sync.RWMutex
-	dyn *Dynamic
+	dyn *dynamic
 }
 
 // Sharded returns a sharded dynamic engine with the given number of
 // independent shards over records of the given dimensionality, for
 // pure-stream deployments with no initial database. Shard 0 draws from
-// the Condenser's master rng stream itself — so a 1-shard engine is
-// bit-identical to Condenser.Dynamic — and every further shard draws from
-// an independent child stream derived from it at construction.
+// the Condenser's master rng stream itself, and every further shard draws
+// from an independent child stream derived from it at construction.
 func (c *Condenser) Sharded(dim, shards int) (*Sharded, error) {
 	srcs, err := shardSources(c, shards)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{k: c.k, dim: dim, opts: c.opts, routeAttr: -1}
+	s := &Sharded{k: c.k, dim: dim, opts: c.opts}
 	for i := 0; i < shards; i++ {
-		d, err := NewDynamicEmpty(dim, c.k, c.opts, srcs[i])
+		d, err := newDynamicEmpty(dim, c.k, c.opts, srcs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -94,8 +87,8 @@ func (c *Condenser) Sharded(dim, shards int) (*Sharded, error) {
 // condensation: the initial groups are dealt round-robin across the
 // shards (group j to shard j mod N — stable, so resuming at a fixed shard
 // count is reproducible), and the initial condensation's dimensionality
-// is used while its k and options are superseded by the Condenser's, as
-// in DynamicFrom. A 1-shard ShardedFrom is bit-identical to DynamicFrom.
+// is used while its k and options are superseded by the Condenser's. This
+// is the paper's H = CreateCondensedGroups(k, D) initialization.
 func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Sharded, error) {
 	if initial == nil {
 		return nil, errors.New("core: nil initial condensation")
@@ -108,15 +101,15 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Sharded, er
 	for j, g := range initial.Groups() {
 		parts[j%shards] = append(parts[j%shards], g)
 	}
-	s := &Sharded{k: c.k, dim: initial.dim, opts: c.opts, routeAttr: -1}
+	s := &Sharded{k: c.k, dim: initial.dim, opts: c.opts}
 	for i := 0; i < shards; i++ {
-		var d *Dynamic
+		var d *dynamic
 		var err error
 		if len(parts[i]) == 0 {
 			// More shards than initial groups: the shard starts empty.
-			d, err = NewDynamicEmpty(initial.dim, c.k, c.opts, srcs[i])
+			d, err = newDynamicEmpty(initial.dim, c.k, c.opts, srcs[i])
 		} else {
-			d, err = NewDynamic(newCondensation(initial.dim, initial.k, initial.opts, parts[i]), srcs[i])
+			d, err = newDynamic(newCondensation(initial.dim, initial.k, initial.opts, parts[i]), srcs[i])
 		}
 		if err != nil {
 			return nil, err
@@ -145,7 +138,6 @@ func (s *Sharded) finish(c *Condenser) {
 	}
 	s.SetTelemetry(c.tel)
 	s.SetTracer(c.trace)
-	s.SetJournal(c.journal)
 }
 
 // SetJournal attaches a group-lifecycle journal to every shard; events are
@@ -153,7 +145,7 @@ func (s *Sharded) finish(c *Condenser) {
 func (s *Sharded) SetJournal(j *telemetry.Journal) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.dyn.SetJournal(j)
+		sh.dyn.jr = j
 		sh.mu.Unlock()
 	}
 }
@@ -174,22 +166,6 @@ func shardSources(c *Condenser, shards int) ([]*rng.Source, error) {
 	return srcs, nil
 }
 
-// SetRoutingAttribute switches record→shard routing from whole-record
-// hashing to hashing one attribute alone, so records agreeing on that
-// attribute (a class label, a tenant id) always share a shard — the
-// class-partitioned serving shape. It must be called before any record is
-// ingested: re-routing a live engine would break reproducibility.
-func (s *Sharded) SetRoutingAttribute(attr int) error {
-	if attr < 0 || attr >= s.dim {
-		return fmt.Errorf("core: routing attribute %d out of range [0,%d)", attr, s.dim)
-	}
-	if s.TotalCount() > 0 {
-		return errors.New("core: routing cannot change after records were ingested")
-	}
-	s.routeAttr = attr
-	return nil
-}
-
 // FNV-1a parameters for the stable record→shard hash.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -207,22 +183,17 @@ func hashFloat(h uint64, v float64) uint64 {
 	return h
 }
 
-// shardOf routes a record: FNV-1a over the record's float64 bytes (or the
-// routing attribute's bytes alone), reduced modulo the shard count. The
-// hash depends only on the record values, so routing is stable across
-// runs, processes, and architectures.
+// shardOf routes a record: FNV-1a over the record's float64 bytes,
+// reduced modulo the shard count. The hash depends only on the record
+// values, so routing is stable across runs, processes, and architectures.
 func (s *Sharded) shardOf(x mat.Vector) int {
 	n := len(s.shards)
 	if n == 1 {
 		return 0
 	}
 	h := uint64(fnvOffset64)
-	if s.routeAttr >= 0 {
-		h = hashFloat(h, x[s.routeAttr])
-	} else {
-		for _, v := range x {
-			h = hashFloat(h, v)
-		}
+	for _, v := range x {
+		h = hashFloat(h, v)
 	}
 	return int(h % uint64(n))
 }
@@ -316,7 +287,10 @@ func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		return err
 	}
 
-	ctx, sp := s.tr.Start(ctx, "sharded.add_batch")
+	// The span context gets its own name: reassigning ctx, which the
+	// goroutines below capture, would move it to the heap on every call,
+	// the single-shard fast path above included.
+	bctx, sp := s.tr.Start(ctx, "sharded.add_batch")
 	sp.SetAttrInt("records", len(records))
 	sp.SetAttrInt("shards", len(s.shards))
 	defer sp.End()
@@ -349,10 +323,10 @@ func (s *Sharded) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		wg.Add(1)
 		go func(i int, part []mat.Vector) {
 			defer wg.Done()
-			shCtx := ctx
+			shCtx := bctx
 			if sp != nil {
 				var shSpan *telemetry.Span
-				shCtx, shSpan = s.tr.Start(ctx, "sharded.shard")
+				shCtx, shSpan = s.tr.Start(bctx, "sharded.shard")
 				shSpan.SetAttrInt("shard", i)
 				shSpan.SetAttrInt("records", len(part))
 				defer shSpan.End()
@@ -437,15 +411,15 @@ func (s *Sharded) Generation() uint64 { return s.gen.Load() }
 // SetTelemetry attaches a metrics registry. With more than one shard,
 // every engine series carries a shard="i" label so per-shard ingest
 // rates, group counts, and split events are separable; a single-shard
-// engine registers the exact unlabeled series Dynamic does.
+// engine registers the series unlabeled.
 func (s *Sharded) SetTelemetry(reg *telemetry.Registry) {
 	s.met = newEngineMetrics(reg)
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		if len(s.shards) == 1 {
-			sh.dyn.SetTelemetry(reg)
+			sh.dyn.setTelemetry(reg)
 		} else {
-			sh.dyn.setTelemetryLabeled(reg, "shard", strconv.Itoa(i))
+			sh.dyn.setTelemetry(reg, "shard", strconv.Itoa(i))
 		}
 		sh.mu.Unlock()
 	}
@@ -456,7 +430,7 @@ func (s *Sharded) SetTracer(tr *telemetry.Tracer) {
 	s.tr = tr
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.dyn.SetTracer(tr)
+		sh.dyn.tr = tr
 		sh.mu.Unlock()
 	}
 }

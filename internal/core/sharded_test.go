@@ -24,33 +24,33 @@ func checkpointBytes(t *testing.T, eng interface{ Condensation() *Condensation }
 }
 
 // TestEngineInterfaceEquivalence is the compatibility contract of the
-// sharded engine: a 1-shard Sharded is bit-identical to a Dynamic built
-// from the same Condenser configuration — same groups, centroids, rng
-// stream, and serialized snapshot — through both the Add loop and the
-// batch path, from empty and from a static bootstrap.
+// sharded engine: a 1-shard Sharded is bit-identical to its per-shard
+// unit driven bare from the same Condenser configuration — same groups,
+// centroids, rng stream, and serialized snapshot — through both the Add
+// loop and the batch path, from empty and from a static bootstrap.
 func TestEngineInterfaceEquivalence(t *testing.T) {
 	const k, dim = 6, 4
 	stream := gaussianRecords(7, 900, dim)
-	initial, err := Static(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
+	initial, err := condenseStatic(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	build := func(t *testing.T, fromInitial bool) (*Dynamic, *Sharded) {
+	build := func(t *testing.T, fromInitial bool) (*dynamic, *Sharded) {
 		t.Helper()
 		c, err := NewCondenser(k, WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dyn *Dynamic
+		var dyn *dynamic
 		var shd *Sharded
 		if fromInitial {
-			dyn, err = c.DynamicFrom(initial)
+			dyn, err = newDynamic(initial, c.rng())
 			if err == nil {
 				shd, err = c.ShardedFrom(initial, 1)
 			}
 		} else {
-			dyn, err = c.Dynamic(dim)
+			dyn, err = newDynamicEmpty(dim, k, c.opts, c.rng())
 			if err == nil {
 				shd, err = c.Sharded(dim, 1)
 			}
@@ -74,7 +74,7 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dyn, shd := build(t, tc.fromInitial)
 			if tc.batch {
-				if err := dyn.AddBatch(stream); err != nil {
+				if err := dyn.applyBatch(context.Background(), stream); err != nil {
 					t.Fatal(err)
 				}
 				if err := shd.AddBatchContext(context.Background(), stream); err != nil {
@@ -91,7 +91,7 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 				}
 			}
 			if got, want := checkpointBytes(t, shd), checkpointBytes(t, dyn); !bytes.Equal(got, want) {
-				t.Fatalf("1-shard Sharded snapshot differs from Dynamic (%d vs %d bytes)", len(got), len(want))
+				t.Fatalf("1-shard Sharded snapshot differs from the bare unit (%d vs %d bytes)", len(got), len(want))
 			}
 			if shd.TotalCount() != dyn.TotalCount() || shd.NumGroups() != dyn.NumGroups() || shd.Splits() != dyn.Splits() {
 				t.Fatalf("counters differ: sharded (n=%d g=%d s=%d) vs dynamic (n=%d g=%d s=%d)",
@@ -108,7 +108,7 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 // TestShardedMergedSnapshotDeterministic is the reproducibility contract
 // at every shard count: the same seed, shard count, and stream produce a
 // bit-identical merged snapshot — across independent engines, across
-// batch slicing, and across the Add/AddBatch paths —
+// batch slicing, and across the Add/AddBatchContext paths —
 // and every shard independently upholds the paper's k ≤ n ≤ 2k−1 group
 // size invariant.
 func TestShardedMergedSnapshotDeterministic(t *testing.T) {
@@ -157,7 +157,7 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 				t.Fatal("merged snapshot differs across batch slicing")
 			}
 			if !bytes.Equal(ref, checkpointBytes(t, c)) {
-				t.Fatal("merged snapshot differs between AddBatch and Add loop")
+				t.Fatal("merged snapshot differs between AddBatchContext and Add loop")
 			}
 			// Snapshotting must be repeatable and observe-only.
 			if !bytes.Equal(ref, checkpointBytes(t, a)) {
@@ -192,9 +192,8 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 }
 
 // TestShardedRoutingDeterministic pins the routing rule: the hash depends
-// only on record values (and the optional routing attribute), so identical
-// records route identically on independent engines, and records agreeing
-// on the routing attribute always share a shard.
+// only on record values, so identical records route identically on
+// independent engines.
 func TestShardedRoutingDeterministic(t *testing.T) {
 	const dim = 5
 	c, err := NewCondenser(4)
@@ -213,38 +212,6 @@ func TestShardedRoutingDeterministic(t *testing.T) {
 		if a.shardOf(x) != b.shardOf(x) {
 			t.Fatal("identical records routed to different shards on independent engines")
 		}
-	}
-
-	if err := a.SetRoutingAttribute(0); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(17)
-	for class := 0; class < 6; class++ {
-		x := make(mat.Vector, dim)
-		x[0] = float64(class)
-		for j := 1; j < dim; j++ {
-			x[j] = r.Norm()
-		}
-		want := a.shardOf(x)
-		for trial := 0; trial < 20; trial++ {
-			y := x.Clone()
-			for j := 1; j < dim; j++ {
-				y[j] = r.Norm()
-			}
-			if got := a.shardOf(y); got != want {
-				t.Fatalf("class %d routed to shard %d and %d", class, want, got)
-			}
-		}
-	}
-
-	if err := a.SetRoutingAttribute(dim); err == nil {
-		t.Fatal("routing attribute out of range accepted")
-	}
-	if err := a.Add(make(mat.Vector, dim)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetRoutingAttribute(1); err == nil {
-		t.Fatal("routing change after ingest accepted")
 	}
 }
 
@@ -284,7 +251,7 @@ func TestShardedValidation(t *testing.T) {
 // leaves the excess shards empty but serviceable.
 func TestShardedFromDistributesGroups(t *testing.T) {
 	const k, dim = 5, 3
-	initial, err := Static(gaussianRecords(19, 60, dim), k, rng.New(21), Options{})
+	initial, err := condenseStatic(gaussianRecords(19, 60, dim), k, rng.New(21), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +278,7 @@ func TestShardedFromDistributesGroups(t *testing.T) {
 
 // TestShardedTelemetryLabels checks the metric contract: with N ≥ 2 every
 // engine series carries a shard label per shard, while a single-shard
-// engine registers the exact unlabeled series Dynamic does.
+// engine registers the same series unlabeled.
 func TestShardedTelemetryLabels(t *testing.T) {
 	const dim = 3
 	c, err := NewCondenser(3, WithSeed(1))
@@ -362,7 +329,7 @@ func TestShardedTelemetryLabels(t *testing.T) {
 // routing, splitting, batch ingest, and bootstrap seeding.
 func TestDynamicTotalCountCached(t *testing.T) {
 	const k, dim = 4, 3
-	groundTruth := func(d *Dynamic) int {
+	groundTruth := func(d *dynamic) int {
 		var n int
 		for _, g := range d.groups {
 			n += g.N()
@@ -370,7 +337,7 @@ func TestDynamicTotalCountCached(t *testing.T) {
 		return n
 	}
 
-	d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(31))
+	d, err := newDynamicEmpty(dim, k, Options{}, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,18 +352,18 @@ func TestDynamicTotalCountCached(t *testing.T) {
 	if got, want := d.Splits(), d.NumGroups()-1; got != want {
 		t.Fatalf("Splits = %d, want %d (empty start: one split per extra group)", got, want)
 	}
-	if err := d.AddBatch(gaussianRecords(35, 300, dim)); err != nil {
+	if err := d.applyBatch(context.Background(), gaussianRecords(35, 300, dim)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.TotalCount(), groundTruth(d); got != want || want != 500 {
 		t.Fatalf("after batch: TotalCount = %d, groups hold %d, want 500", got, want)
 	}
 
-	initial, err := Static(gaussianRecords(37, 90, dim), k, rng.New(39), Options{})
+	initial, err := condenseStatic(gaussianRecords(37, 90, dim), k, rng.New(39), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := NewDynamic(initial, rng.New(41))
+	seeded, err := newDynamic(initial, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"condensation/internal/stats"
 )
 
-// SplitGroup implements SplitGroupStatistics (Figure 3 of the paper): it
+// splitGroupWith implements SplitGroupStatistics (Figure 3 of the paper): it
 // splits the statistics of a group M holding 2k records into two child
 // groups M1, M2 of k records each, without access to any raw records.
 //
@@ -29,14 +29,9 @@ import (
 // axis selects the split eigenvector: the principal one (the paper's
 // choice — the most elongated direction, minimizing child variance) or a
 // uniformly random one (ablation). The random source is only consulted for
-// SplitRandom.
-func SplitGroup(m *stats.Group, k int, axis SplitAxis, r *rng.Source) (m1, m2 *stats.Group, err error) {
-	return splitGroupWith(m, k, axis, r, nil)
-}
-
-// splitGroupWith is SplitGroup drawing the eigensolver workspaces from s
-// (nil allocates locally): the dynamic engine passes its per-engine scratch
-// so the steady stream of split eigensolves reuses one set of buffers.
+// SplitRandom. The eigensolver workspaces come from s (nil allocates
+// locally): the dynamic engine passes its per-engine scratch so the
+// steady stream of split eigensolves reuses one set of buffers.
 func splitGroupWith(m *stats.Group, k int, axis SplitAxis, r *rng.Source, s *mat.EigenScratch) (m1, m2 *stats.Group, err error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: split with k = %d", k)

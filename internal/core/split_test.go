@@ -27,7 +27,7 @@ func elongatedGroup(t *testing.T, seed uint64, k int) *stats.Group {
 
 func TestSplitGroupCounts(t *testing.T) {
 	g := elongatedGroup(t, 1, 10)
-	m1, m2, err := SplitGroup(g, 10, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 10, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSplitGroupCentroids(t *testing.T) {
 	e1 := eig.Vector(0)
 	offset := math.Sqrt(12*lambda1) / 4
 
-	m1, m2, err := SplitGroup(g, 15, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 15, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSplitGroupEigenvalueQuartered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, _, err := SplitGroup(g, 12, SplitPrincipal, nil)
+	m1, _, err := splitGroupWith(g, 12, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSplitGroupEigenvectorsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2, err := SplitGroup(g, 12, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 12, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSplitGroupEigenvectorsPreserved(t *testing.T) {
 
 func TestSplitGroupChildrenShareCovariance(t *testing.T) {
 	g := elongatedGroup(t, 5, 9)
-	m1, m2, err := SplitGroup(g, 9, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 9, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSplitGroupChildrenShareCovariance(t *testing.T) {
 // covariances are identical, because the first-order sums differ.
 func TestSplitGroupSecondOrderSumsDiffer(t *testing.T) {
 	g := elongatedGroup(t, 6, 9)
-	m1, m2, err := SplitGroup(g, 9, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 9, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSplitGroupSecondOrderSumsDiffer(t *testing.T) {
 func TestSplitGroupMergeRecoversParentMean(t *testing.T) {
 	g := elongatedGroup(t, 7, 11)
 	parentMean, _ := g.Mean()
-	m1, m2, err := SplitGroup(g, 11, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 11, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSplitGroupZeroVariance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m1, m2, err := SplitGroup(g, 4, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 4, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSplitGroupOneDimensional(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m1, m2, err := SplitGroup(g, 3, SplitPrincipal, nil)
+	m1, m2, err := splitGroupWith(g, 3, SplitPrincipal, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,23 +224,23 @@ func TestSplitGroupOneDimensional(t *testing.T) {
 
 func TestSplitGroupErrors(t *testing.T) {
 	g := elongatedGroup(t, 8, 5)
-	if _, _, err := SplitGroup(g, 4, SplitPrincipal, nil); err == nil {
+	if _, _, err := splitGroupWith(g, 4, SplitPrincipal, nil, nil); err == nil {
 		t.Error("n != 2k accepted")
 	}
-	if _, _, err := SplitGroup(g, 0, SplitPrincipal, nil); err == nil {
+	if _, _, err := splitGroupWith(g, 0, SplitPrincipal, nil, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := SplitGroup(g, 5, SplitRandom, nil); err == nil {
+	if _, _, err := splitGroupWith(g, 5, SplitRandom, nil, nil); err == nil {
 		t.Error("SplitRandom without source accepted")
 	}
-	if _, _, err := SplitGroup(g, 5, SplitAxis(7), nil); err == nil {
+	if _, _, err := splitGroupWith(g, 5, SplitAxis(7), nil, nil); err == nil {
 		t.Error("unknown axis accepted")
 	}
 }
 
 func TestSplitGroupRandomAxis(t *testing.T) {
 	g := elongatedGroup(t, 9, 10)
-	m1, m2, err := SplitGroup(g, 10, SplitRandom, rng.New(1))
+	m1, m2, err := splitGroupWith(g, 10, SplitRandom, rng.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSplitGroupTraceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m1, _, err := SplitGroup(g, k, SplitPrincipal, nil)
+		m1, _, err := splitGroupWith(g, k, SplitPrincipal, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -292,5 +292,25 @@ func TestSplitGroupTraceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+func BenchmarkCoreSplitGroup(b *testing.B) {
+	r := rng.New(6)
+	g := stats.NewGroup(34)
+	x := make(mat.Vector, 34)
+	for i := 0; i < 50; i++ {
+		for j := range x {
+			x[j] = r.Norm()
+		}
+		if err := g.Add(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := splitGroupWith(g, 25, SplitPrincipal, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

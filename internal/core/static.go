@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,63 +12,34 @@ import (
 	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
-	"condensation/internal/telemetry"
 )
 
-// Static runs the CreateCondensedGroups algorithm of Figure 1 on the full
-// set of records: while at least k records remain, sample one uniformly at
-// random, gather its k−1 nearest remaining neighbours into a group, record
-// the group's aggregate statistics, and delete the group's records.
-// Remaining records (between 1 and k−1 of them) are folded into the group
-// with the nearest centroid, so a few groups may hold more than k records.
+// staticCondense runs the CreateCondensedGroups algorithm of Figure 1 on
+// the full set of records with c's k, options, parallelism, telemetry and
+// tracer, drawing from r: while at least k records remain, sample one
+// uniformly at random, gather its k−1 nearest remaining neighbours into a
+// group, record the group's aggregate statistics, and delete the group's
+// records. Remaining records (between 1 and k−1 of them) are folded into
+// the group with the nearest centroid, so a few groups may hold more than
+// k records. members[g] lists the record indices of group g.
 //
-// The records slice is not modified. Passing k = 1 produces one group per
+// Per group it draws exactly one value from r (the seed-record sample)
+// and takes the k−1 nearest remaining records under the (distance, record
+// index) order, so it forms the same groups as the paper's full
+// scan-and-sort, members added in ascending-distance order. The
+// parallelism bounds the distance sweep's workers and becomes the
+// condensation's synthesis parallelism (values < 1 mean
+// runtime.NumCPU()).
+//
+// The records slice is not modified. k = 1 produces one group per
 // record, in which case synthesis reproduces each record exactly — the
 // paper's group-size-1 anchor where static condensation equals the
 // original data.
-//
-// Deprecated: use the Condenser facade — NewCondenser(k, WithSeed(s),
-// ...).Static(records) — which also exposes the parallelism of the
-// distance sweep.
-func Static(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, error) {
-	cond, _, err := staticCondense(context.Background(), records, k, r, opts, 0, nil, nil)
-	return cond, err
-}
-
-// StaticWithMembers is Static, additionally reporting which original
-// records each group condensed: members[g] lists the record indices of
-// group g. The membership map is exactly what a condensation deployment
-// must *not* publish; it is exposed for privacy evaluation (re-
-// identification attacks need the ground truth) and for tests.
-//
-// Deprecated: use NewCondenser(k, ...).StaticWithMembers(records).
-func StaticWithMembers(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, k, r, opts, 0, nil, nil)
-}
-
-// staticCondense is the engine behind Static and Condenser.Static. Per
-// group it draws exactly one value from r (the seed-record sample) and
-// takes the k−1 nearest remaining records under the (distance, record
-// index) order, so it forms the same groups as the paper's full
-// scan-and-sort, members added in ascending-distance order. parallelism
-// bounds the distance sweep's workers and becomes the condensation's
-// synthesis parallelism (values < 1 mean runtime.NumCPU()).
-//
-// ctx is consulted only for a parent trace span; cancellation is not
-// checked (the static construction is one uninterruptible pass).
-func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Source, opts Options, parallelism int, tel *telemetry.Registry, tr *telemetry.Tracer) (*Condensation, [][]int, error) {
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", k)
-	}
-	if r == nil {
-		return nil, nil, errors.New("core: nil random source")
-	}
+func staticCondense(c *Condenser, records []mat.Vector, r *rng.Source) (*Condensation, [][]int, error) {
 	if len(records) == 0 {
 		return nil, nil, errors.New("core: no records to condense")
 	}
+	k := c.k
 	dim := len(records[0])
 	for i, x := range records {
 		if err := validateRecord(x, dim); err != nil {
@@ -77,10 +47,10 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		}
 	}
 
-	met := newEngineMetrics(tel)
-	met.withSearchBackend(tel, "scan")
+	met := newEngineMetrics(c.tel)
+	met.withSearchBackend(c.tel, "scan")
 
-	_, span := tr.Start(ctx, "static.condense")
+	span := c.trace.StartChild(nil, "static.condense")
 	span.SetAttrInt("records", len(records))
 	span.SetAttrInt("k", k)
 	span.SetAttr("backend", "scan")
@@ -101,18 +71,18 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 			members[i] = []int{i}
 		}
 		met.groupsFormed.Add(len(groups))
-		cond := newCondensation(dim, k, opts, groups)
-		cond.par = parallelism
+		cond := newCondensation(dim, k, c.opts, groups)
+		cond.par = c.par
 		cond.met = met
 		return cond, members, nil
 	}
 
-	search := newScanSearcher(records, dim, par.Workers(parallelism))
+	search := newScanSearcher(records, dim, par.Workers(c.par))
 
 	var groups []*stats.Group
 	var members [][]int
 	var t0 time.Time
-	loopSpan := childSpan(tr, span, "static.groups")
+	loopSpan := childSpan(c.trace, span, "static.groups")
 	for search.remaining() >= k {
 		// Randomly sample a data point X from D, then pull X and its k−1
 		// closest remaining records out of the alive set.
@@ -143,10 +113,10 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 
 	// Handle the final < k leftover records.
 	if leftover := search.leftover(); len(leftover) > 0 {
-		leftSpan := childSpan(tr, span, "static.leftover")
+		leftSpan := childSpan(c.trace, span, "static.leftover")
 		leftSpan.SetAttrInt("records", len(leftover))
 		defer leftSpan.End()
-		switch opts.Leftover {
+		switch c.opts.Leftover {
 		case LeftoverNearestGroup:
 			if len(groups) == 0 {
 				// Fewer than k records in total: the best available option
@@ -195,8 +165,8 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 
 	// The sweep parallelism doubles as the synthesis parallelism of the
 	// resulting condensation — one knob end to end.
-	cond := newCondensation(dim, k, opts, groups)
-	cond.par = parallelism
+	cond := newCondensation(dim, k, c.opts, groups)
+	cond.par = c.par
 	cond.met = met
 	return cond, members, nil
 }

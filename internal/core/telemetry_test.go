@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -99,12 +100,12 @@ func TestTelemetryDynamicCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := c.Dynamic(2)
+	dyn, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	records := gaussianRecords(9, 80, 2)
-	if err := dyn.AddBatch(records); err != nil {
+	if err := dyn.AddBatchContext(context.Background(), records); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(metricStreamRecords).Value(); got != 80 {

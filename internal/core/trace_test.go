@@ -19,12 +19,9 @@ func TestTracingObserveOnly(t *testing.T) {
 	const k, dim = 5, 3
 	stream := gaussianRecords(31, 900, dim)
 
-	build := func(tr *telemetry.Tracer) *Dynamic {
+	build := func(tr *telemetry.Tracer) *Sharded {
 		t.Helper()
-		d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(7))
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := singleShard(t, k, dim, 7)
 		d.SetTracer(tr)
 		return d
 	}
@@ -36,7 +33,7 @@ func TestTracingObserveOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dynamicFingerprint(t, ref)
+	want := dynamicFingerprint(t, ref.shards[0].dyn)
 
 	// Traced per-record ingest, sampling every record.
 	tr := telemetry.NewTracer(256, 1)
@@ -46,7 +43,7 @@ func TestTracingObserveOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(want, dynamicFingerprint(t, d)) {
+	if !bytes.Equal(want, dynamicFingerprint(t, d.shards[0].dyn)) {
 		t.Fatal("traced Add diverged from untraced run")
 	}
 	if tr.Len() == 0 {
@@ -61,8 +58,8 @@ func TestTracingObserveOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	if !bytes.Equal(want, dynamicFingerprint(t, d)) {
-		t.Fatal("traced AddBatch diverged from untraced run")
+	if !bytes.Equal(want, dynamicFingerprint(t, d.shards[0].dyn)) {
+		t.Fatal("traced AddBatchContext diverged from untraced run")
 	}
 	names := map[string]bool{}
 	for _, ev := range tr.Events(0) {
@@ -126,10 +123,7 @@ func TestTracingObserveOnly(t *testing.T) {
 // TestTracingDisabledNoSpans: the default nil tracer records nothing and
 // ingest still works (the hot-path guard).
 func TestTracingDisabledNoSpans(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := singleShard(t, 3, 2, 1)
 	d.SetTracer(nil)
 	for _, x := range gaussianRecords(2, 50, 2) {
 		if err := d.Add(x); err != nil {

@@ -168,7 +168,7 @@ func LeftoverAblation(ds *dataset.Dataset, cfg Config) (*Table, error) {
 		for _, pol := range []core.Leftover{core.LeftoverNearestGroup, core.LeftoverOwnGroup} {
 			c := cfg
 			c.Options.Leftover = pol
-			anon, report, err := core.Anonymize(train, c.anonymizeConfig(k, core.ModeStatic), r.Split())
+			anon, report, err := c.anonymize(train, k, core.ModeStatic, r.Split())
 			if err != nil {
 				return err
 			}
@@ -242,7 +242,7 @@ func ClusteringStudy(ds *dataset.Dataset, clusters int, cfg Config) (*Table, err
 	err := cfg.runCells(len(cells), func(i int) error {
 		k := cfg.GroupSizes[i/reps]
 		r := srcs[i]
-		anon, _, err := core.Anonymize(ds, cfg.anonymizeConfig(k, core.ModeStatic), r.Split())
+		anon, _, err := cfg.anonymize(ds, k, core.ModeStatic, r.Split())
 		if err != nil {
 			return err
 		}

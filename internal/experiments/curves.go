@@ -56,25 +56,24 @@ type Config struct {
 	LogEvery int
 }
 
-// anonymizeConfig assembles the core anonymization config for one
-// (k, mode) cell of a study.
-func (c Config) anonymizeConfig(k int, mode core.Mode) core.AnonymizeConfig {
-	return core.AnonymizeConfig{
-		K:               k,
-		Mode:            mode,
-		Options:         c.Options,
-		InitialFraction: c.InitialFraction,
-		Parallelism:     c.Parallelism,
-	}
-}
-
 // condenser builds the Condenser facade for one k, drawing randomness
 // from r so repetitions stay independent.
-func (c Config) condenser(k int, r *rng.Source) (*core.Condenser, error) {
-	return core.NewCondenser(k,
+func (c Config) condenser(k int, r *rng.Source, opts ...core.CondenserOption) (*core.Condenser, error) {
+	opts = append(opts,
 		core.WithRandomSource(r),
 		core.WithOptions(c.Options),
 		core.WithParallelism(c.Parallelism))
+	return core.NewCondenser(k, opts...)
+}
+
+// anonymize runs data-set level anonymization for one (k, mode) cell of a
+// study, drawing randomness from r.
+func (c Config) anonymize(ds *dataset.Dataset, k int, mode core.Mode, r *rng.Source) (*dataset.Dataset, *core.Report, error) {
+	cd, err := c.condenser(k, r, core.WithMode(mode), core.WithInitialFraction(c.InitialFraction))
+	if err != nil {
+		return nil, nil, err
+	}
+	return cd.Anonymize(ds)
 }
 
 // fill applies the documented defaults in place. Unlike the coerced
@@ -189,7 +188,7 @@ func AccuracyCurve(ds *dataset.Dataset, cfg Config) ([]AccuracyPoint, error) {
 // anonymizeAndEvaluate condenses the training data at level k in the given
 // mode and scores the resulting classifier on the original test data.
 func anonymizeAndEvaluate(train, test *dataset.Dataset, cfg Config, k int, mode core.Mode, r *rng.Source) (acc, avgGroupSize float64, err error) {
-	anon, report, err := core.Anonymize(train, cfg.anonymizeConfig(k, mode), r)
+	anon, report, err := cfg.anonymize(train, k, mode, r)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -293,7 +292,7 @@ func CompatibilityCurve(ds *dataset.Dataset, cfg Config) ([]CompatPoint, error) 
 // anonymizeAndCompare anonymizes the full data set and computes µ between
 // original and anonymized records.
 func anonymizeAndCompare(ds *dataset.Dataset, cfg Config, k int, mode core.Mode, r *rng.Source) (mu, avgGroupSize float64, err error) {
-	anon, report, err := core.Anonymize(ds, cfg.anonymizeConfig(k, mode), r)
+	anon, report, err := cfg.anonymize(ds, k, mode, r)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -58,7 +58,7 @@ func ScalingStudy(k int, sizes []int, cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		anon, _, err := core.Anonymize(ds, cfg.anonymizeConfig(k, core.ModeStatic), r.Split())
+		anon, _, err := cfg.anonymize(ds, k, core.ModeStatic, r.Split())
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func FidelityStudy(dsName string, cfg Config) (*Table, error) {
 		for si, synth := range []core.Synthesis{core.SynthesisUniform, core.SynthesisGaussian} {
 			c := cfg
 			c.Options.Synthesis = synth
-			anon, _, err := core.Anonymize(ds, c.anonymizeConfig(k, core.ModeStatic), srcs[2*i+si])
+			anon, _, err := c.anonymize(ds, k, core.ModeStatic, srcs[2*i+si])
 			if err != nil {
 				return err
 			}

@@ -183,8 +183,7 @@ func ArgminFlat[Q ~[]float64](q Q, block []float64) (int, float64) {
 //	    if d < bestD || (d == bestD && id < bestID) { bestID, bestD = id, d }
 //	}
 //
-// and is the kernel behind the CentroidIndex leaf scan and the AddBatch
-// changed-group fold.
+// and is the kernel behind the CentroidIndex leaf scan.
 func ArgminFlatIDs[Q ~[]float64](q Q, block []float64, ids []int, bestID int, bestD float64) (int, float64) {
 	d := len(q)
 	if len(block) != len(ids)*d {

@@ -580,7 +580,7 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.Dynamic(2)
+	ref, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

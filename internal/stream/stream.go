@@ -55,7 +55,7 @@ type Driver struct {
 // NewDriver wraps a condenser engine: the driver calls its Add,
 // AddBatchContext, NumGroups, TotalCount, and Condensation methods. Build
 // one with core.Condenser.Sharded, or ShardedFrom to continue from an
-// initial condensation; one shard is bit-identical to a core.Dynamic.
+// initial condensation.
 func NewDriver(eng core.Engine) (*Driver, error) {
 	if eng == nil {
 		return nil, errors.New("stream: nil condenser engine")

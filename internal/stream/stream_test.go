@@ -22,8 +22,8 @@ func records(seed uint64, n int) []mat.Vector {
 	return out
 }
 
-// newEngine is a one-shard engine over 2-d records, bit-identical to a
-// core.Dynamic drawing from rng.New(99).
+// newEngine is a one-shard engine over 2-d records drawing from
+// rng.New(99).
 func newEngine(t *testing.T, k int) core.Engine {
 	t.Helper()
 	c, err := core.NewCondenser(k, core.WithRandomSource(rng.New(99)))

@@ -41,8 +41,8 @@ type JournalEvent struct {
 	Time time.Time `json:"time"`
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
-	// Shard is the engine shard the event happened on (0 for a standalone
-	// Dynamic), or JournalShardNone for server-level events.
+	// Shard is the engine shard the event happened on, or
+	// JournalShardNone for server-level events.
 	Shard int `json:"shard"`
 	// Generation is the engine mutation generation the event is tied to,
 	// so journal entries line up with checkpoint ETags and /healthz.
