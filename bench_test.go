@@ -19,6 +19,7 @@ import (
 	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
+	"condensation/internal/telemetry"
 )
 
 // benchConfig is the shared figure configuration: the paper's x-axis range
@@ -213,20 +214,91 @@ func BenchmarkCoreStaticCondense(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStaticSearch times the static neighbour search behind the
-// Condenser facade at Pima size: the fused sweep + bounded top-k.
+// BenchmarkCoreStaticSearch times static condensation behind the
+// Condenser facade (k = 25) on one cell per regime of the engine's search
+// choice, and reports the rows handed to the distance kernel per record
+// (evals/record, the static.condense span's rows_visited): Pima, below the
+// window's size cutoff, sweeps; the rank-3 factor model keeps the
+// projection window; i.i.d. d = 8 hands off to the sweep after the probe
+// on all CPUs, keeps the window on one worker at n = 50k, and hands off
+// on one worker at n = 6k; i.i.d. d = 2 keeps the window. Cells without a
+// -w1 suffix use all CPUs.
 func BenchmarkCoreStaticSearch(b *testing.B) {
-	ds := datagen.Pima(7)
-	c, err := core.NewCondenser(25, core.WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
+	for _, cell := range []struct {
+		name    string
+		records func() []mat.Vector
+		workers int
+	}{
+		{"pima", func() []mat.Vector { return datagen.Pima(7).X }, 0},
+		{"factor-d8-n50k", func() []mat.Vector { return benchFactor(1, 50000, 8) }, 0},
+		{"iid-d8-n50k", func() []mat.Vector { return benchGaussian(2, 50000, 8) }, 0},
+		{"iid-d8-n50k-w1", func() []mat.Vector { return benchGaussian(2, 50000, 8) }, 1},
+		{"iid-d8-n6k-w1", func() []mat.Vector { return benchGaussian(5, 6000, 8) }, 1},
+		{"iid-d2-n100k", func() []mat.Vector { return benchGaussian(3, 100000, 2) }, 0},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			records := cell.records()
+			tr := telemetry.NewTracer(0, 1)
+			c, err := core.NewCondenser(25, core.WithSeed(1), core.WithParallelism(cell.workers), core.WithTracer(tr))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Static(records); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, ev := range tr.Events(1) {
+				for _, kv := range ev.Attrs {
+					if ev.Name == "static.condense" && kv[0] == "rows_visited" {
+						v, _ := strconv.Atoi(kv[1])
+						b.ReportMetric(float64(v)/float64(len(records)), "evals/record")
+					}
+				}
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Static(ds.X); err != nil {
-			b.Fatal(err)
+}
+
+// benchGaussian draws n records of i.i.d. standard normal attributes.
+func benchGaussian(seed uint64, n, dim int) []mat.Vector {
+	r := rng.New(seed)
+	out := make([]mat.Vector, n)
+	for i := range out {
+		x := make(mat.Vector, dim)
+		for j := range x {
+			x[j] = r.Norm()
 		}
+		out[i] = x
 	}
+	return out
+}
+
+// benchFactor draws n records from a rank-3 factor model x = Az + 0.1ε
+// with fixed loadings A, the correlated regime of the anonymize workload.
+func benchFactor(seed uint64, n, dim int) []mat.Vector {
+	shape := rng.New(2004)
+	a := make([]float64, dim*3)
+	for i := range a {
+		a[i] = shape.Norm()
+	}
+	r := rng.New(seed)
+	out := make([]mat.Vector, n)
+	for i := range out {
+		z := [3]float64{r.Norm(), r.Norm(), r.Norm()}
+		x := make(mat.Vector, dim)
+		for j := range x {
+			v := 0.1 * r.Norm()
+			for l, zv := range z {
+				v += a[j*3+l] * zv
+			}
+			x[j] = v
+		}
+		out[i] = x
+	}
+	return out
 }
 
 func BenchmarkCoreDynamicAdd(b *testing.B) {

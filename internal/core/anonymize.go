@@ -7,6 +7,7 @@ import (
 
 	"condensation/internal/dataset"
 	"condensation/internal/mat"
+	"condensation/internal/par"
 	"condensation/internal/rng"
 )
 
@@ -122,7 +123,18 @@ func anonymizeClassification(ds *dataset.Dataset, c *Condenser, r *rng.Source) (
 		ClassNames: append([]string(nil), ds.ClassNames...),
 		Task:       dataset.Classification,
 	}
-	report := &Report{}
+	// Split every class's condense and synthesis streams up front, in the
+	// order a sequential loop draws them, so the classes can be condensed
+	// concurrently with the same output: each class draws only from its own
+	// two streams, and the results are appended in label order.
+	type class struct {
+		label       int
+		recs        []mat.Vector
+		cond, synth *rng.Source
+		out         []mat.Vector
+		report      ClassReport
+	}
+	var classes []*class
 	byClass := ds.ByClass()
 	for label := 0; label < ds.NumClasses(); label++ {
 		idx := byClass[label]
@@ -133,20 +145,33 @@ func anonymizeClassification(ds *dataset.Dataset, c *Condenser, r *rng.Source) (
 		for i, ri := range idx {
 			recs[i] = ds.X[ri]
 		}
-		cond, err := condenseRecords(recs, c, r.Split())
+		cl := &class{label: label, recs: recs, cond: r.Split()}
+		cl.synth = r.Split()
+		classes = append(classes, cl)
+	}
+	err := par.Run(len(classes), par.Workers(c.par), func(i int) error {
+		cl := classes[i]
+		cond, err := condenseRecords(cl.recs, c, cl.cond)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: class %d: %w", label, err)
+			return fmt.Errorf("core: class %d: %w", cl.label, err)
 		}
-		synth, err := cond.Synthesize(r.Split())
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: synthesizing class %d: %w", label, err)
+		if cl.out, err = cond.Synthesize(cl.synth); err != nil {
+			return fmt.Errorf("core: synthesizing class %d: %w", cl.label, err)
 		}
-		for _, x := range synth {
-			if err := out.Append(x, label, 0); err != nil {
+		cl.report = classReport(cl.label, len(cl.recs), cond)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	report := &Report{}
+	for _, cl := range classes {
+		for _, x := range cl.out {
+			if err := out.Append(x, cl.label, 0); err != nil {
 				return nil, nil, err
 			}
 		}
-		report.Classes = append(report.Classes, classReport(label, len(recs), cond))
+		report.Classes = append(report.Classes, cl.report)
 	}
 	return out, report, nil
 }

@@ -132,63 +132,108 @@ func fullSortCondense(t *testing.T, records []mat.Vector, k int, r *rng.Source) 
 	return groups, members
 }
 
+// boundRecords returns n records of dimension d whose attributes sit near
+// the admitted ±maxRecord bound: a few shared offsets of ±0.9·maxRecord
+// plus a spread that is tiny relative to them, the regime where the
+// window's rounding margin, not its geometry, decides what is pruned.
+func boundRecords(seed uint64, n, d int) []mat.Vector {
+	r := rng.New(seed)
+	out := make([]mat.Vector, n)
+	for i := range out {
+		v := make(mat.Vector, d)
+		for j := range v {
+			off := 0.9 * maxRecord
+			if r.IntN(2) == 0 {
+				off = -off
+			}
+			v[j] = off + r.Norm()*1e75
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
-// same rng seed, the fused sweep + bounded top-k must produce groups with
-// aggregate statistics identical (bit for bit — members are added in the
-// same ascending-distance order) to the full-sort reference, and the same
-// member record indices. The lattice cases tie heavily, so only the
-// (distance, record index) tie-break picks among duplicate records.
+// same rng seed, each static search path — the sweep, the projection
+// window, and the window handing off to the sweep after its probe
+// queries — must produce groups with aggregate statistics identical (bit
+// for bit — members are added in the same ascending-distance order) to the
+// full-sort reference, and the same member record indices. The lattice
+// cases tie heavily, so only the (distance, record index) tie-break picks
+// among duplicate records; the d = 1 cases make the projection the record
+// itself, and on the integer case rows tie with the k-th distance exactly
+// at the window's edge; the line case puts about 64 copies of each of 8
+// points of the line t·(1, 2) in each of two clusters 2⁴⁰ apart, so the
+// axis is the line, projection gaps equal distances, the rounding of Δ at
+// |p| ≈ 10¹² decides ties at the k-th distance, and the lowest-indexed
+// tied rows lie beyond the first slab; the bound cases put every record
+// near ±maxRecord.
 func TestSearchBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, k int
-		lattice bool
+		data    string
 	}{
-		{60, 2, 5, false},
-		{237, 3, 10, false}, // leftovers exercise the nearest-group fold-in
-		{500, 4, 25, false},
-		{120, 8, 7, false}, // moderate dimension
-		{40, 2, 40, false}, // one group swallows everything
-		{35, 2, 50, false}, // fewer records than k: single undersized group
-		{300, 8, 7, true},  // unrolled d = 8 kernel path
-		{611, 8, 25, true}, // leftovers
-		{200, 2, 10, true},
+		{60, 2, 5, "gaussian"},
+		{237, 3, 10, "gaussian"}, // leftovers exercise the nearest-group fold-in
+		{500, 4, 25, "gaussian"},
+		{120, 8, 7, "gaussian"}, // moderate dimension
+		{40, 2, 40, "gaussian"}, // one group swallows everything
+		{35, 2, 50, "gaussian"}, // fewer records than k: single undersized group
+		{300, 8, 7, "lattice"},  // unrolled d = 8 kernel path
+		{611, 8, 25, "lattice"}, // leftovers
+		{200, 2, 10, "lattice"},
+		{400, 1, 6, "gaussian"}, // d = 1: the axis is the attribute
+		{300, 1, 5, "lattice"},
+		{512, 1, 20, "ints"},  // n = 2⁹: every projection and Δ is exact, ties at Δ² = k-th
+		{1024, 2, 80, "line"}, // on-axis ties past the first slab; Δ rounds
+		{400, 3, 8, "bound"},
+		{300, 8, 5, "bound"},
 	} {
-		records := gaussianRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
-		if tc.lattice {
-			records = latticeRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
+		seed := uint64(tc.n)*31 + uint64(tc.d)
+		records := gaussianRecords(seed, tc.n, tc.d)
+		switch tc.data {
+		case "lattice":
+			records = latticeRecords(seed, tc.n, tc.d)
+		case "bound":
+			records = boundRecords(seed, tc.n, tc.d)
+		case "line":
+			r := rng.New(seed)
+			for _, x := range records {
+				t := float64(r.IntN(8) + r.IntN(2)<<40)
+				x[0], x[1] = t, 2*t
+			}
+		case "ints":
+			r := rng.New(seed)
+			for _, x := range records {
+				for j := range x {
+					x[j] = float64(r.IntN(64))
+				}
+			}
 		}
 		refGroups, refMembers := fullSortCondense(t, records, tc.k, rng.New(9))
-		c, err := NewCondenser(tc.k, WithSeed(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cond, members, err := c.StaticWithMembers(records)
-		if err != nil {
-			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
-		}
-		if cond.NumGroups() != len(refGroups) {
-			t.Fatalf("n=%d k=%d: %d groups, reference has %d",
-				tc.n, tc.k, cond.NumGroups(), len(refGroups))
-		}
-		gotGroups := cond.Groups()
-		for gi := range refGroups {
-			want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
-			if got != want {
-				t.Errorf("n=%d k=%d group %d:\n got %s\nwant %s",
-					tc.n, tc.k, gi, got, want)
+		for _, path := range []searchPath{pathScan, pathWindow, pathHandOff} {
+			name := fmt.Sprintf("%s n=%d d=%d k=%d path=%d", tc.data, tc.n, tc.d, tc.k, path)
+			c, err := NewCondenser(tc.k, WithSeed(9))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for gi := range refMembers {
-			if len(members[gi]) != len(refMembers[gi]) {
-				t.Errorf("n=%d k=%d group %d: %d members, reference %d",
-					tc.n, tc.k, gi, len(members[gi]), len(refMembers[gi]))
-				continue
+			cond, members, err := staticCondensePath(c, records, c.rng(), path)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			for mi := range refMembers[gi] {
-				if members[gi][mi] != refMembers[gi][mi] {
-					t.Errorf("n=%d k=%d group %d member %d: %d, reference %d",
-						tc.n, tc.k, gi, mi, members[gi][mi], refMembers[gi][mi])
-					break
+			if cond.NumGroups() != len(refGroups) {
+				t.Fatalf("%s: %d groups, reference has %d", name, cond.NumGroups(), len(refGroups))
+			}
+			gotGroups := cond.Groups()
+			for gi := range refGroups {
+				want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
+				if got != want {
+					t.Errorf("%s group %d:\n got %s\nwant %s", name, gi, got, want)
+				}
+			}
+			for gi := range refMembers {
+				if fmt.Sprint(members[gi]) != fmt.Sprint(refMembers[gi]) {
+					t.Errorf("%s group %d: members %v, reference %v", name, gi, members[gi], refMembers[gi])
 				}
 			}
 		}

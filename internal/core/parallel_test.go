@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"condensation/internal/dataset"
 	"condensation/internal/rng"
+	"condensation/internal/telemetry"
 )
 
 // TestSynthesizeParallelEquivalence proves the synthesis determinism
@@ -76,32 +79,37 @@ func TestSynthesizeParallelGaussian(t *testing.T) {
 }
 
 // TestAnonymizeParallelEquivalence checks the knob end to end: a full
-// Anonymize run (condense + synthesize per class) produces the identical
-// data set at every parallelism, so the WithParallelism option reaches
-// synthesis without changing it.
+// Anonymize run (condense + synthesize per class, the classes condensed
+// concurrently) writes byte-identical CSV at 1 and 8 workers, in both
+// construction regimes, with telemetry and tracing on. The data set has
+// four class indices, one of them without records, and one class large
+// enough that the static engine runs the projection window.
 func TestAnonymizeParallelEquivalence(t *testing.T) {
 	ds := toyClassification(36, 50)
-	run := func(p int) ([][]float64, error) {
-		anon, _, err := anonymize(ds, 5, rng.New(37), WithParallelism(p))
-		if err != nil {
-			return nil, err
+	ds.ClassNames = []string{"a", "b", "empty", "big"}
+	for _, x := range factorRecords(38, windowMinRecords+500, 2) {
+		ds.X = append(ds.X, x)
+		ds.Labels = append(ds.Labels, 3)
+	}
+	for _, mode := range []Mode{ModeStatic, ModeDynamic} {
+		run := func(p int) []byte {
+			anon, report, err := anonymize(ds, 5, rng.New(37), WithParallelism(p), WithMode(mode),
+				WithTelemetry(telemetry.NewRegistry()), WithTracer(telemetry.NewTracer(0, 1)))
+			if err != nil {
+				t.Fatalf("%v p=%d: %v", mode, p, err)
+			}
+			if len(report.Classes) != 3 {
+				t.Fatalf("%v p=%d: %d class reports, want 3", mode, p, len(report.Classes))
+			}
+			var buf bytes.Buffer
+			if err := dataset.WriteCSV(&buf, anon); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
 		}
-		out := make([][]float64, len(anon.X))
-		for i, x := range anon.X {
-			out[i] = x
+		if !bytes.Equal(run(1), run(8)) {
+			t.Errorf("%v: Anonymize output differs between 1 and 8 workers", mode)
 		}
-		return out, nil
-	}
-	seq, err := run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := run(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("Anonymize output differs between 1 and 8 workers")
 	}
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
+	"condensation/internal/telemetry"
 )
 
 // clusteredRecords returns two well-separated 2-D clusters of the given
@@ -313,6 +315,110 @@ func TestStaticWithMembersStatsMatchMembers(t *testing.T) {
 		g := cond.Groups()[gi]
 		if !rebuilt.FirstOrderSums().Equal(g.FirstOrderSums(), 1e-9) {
 			t.Errorf("group %d statistics do not match its member list", gi)
+		}
+	}
+}
+
+// factorRecords returns n records of dimension d from a rank-3 factor
+// model x = Az + 0.1ε with fixed loadings A: records lie near a
+// 3-dimensional subspace, the correlated regime of the anonymize
+// benchmark, where the projection window skips most rows.
+func factorRecords(seed uint64, n, d int) []mat.Vector {
+	shape := rng.New(2004)
+	a := make([]float64, d*3)
+	for i := range a {
+		a[i] = shape.Norm()
+	}
+	r := rng.New(seed)
+	out := make([]mat.Vector, n)
+	for i := range out {
+		z := [3]float64{r.Norm(), r.Norm(), r.Norm()}
+		x := make(mat.Vector, d)
+		for j := range x {
+			s := 0.1 * r.Norm()
+			for l, zv := range z {
+				s += a[j*3+l] * zv
+			}
+			x[j] = s
+		}
+		out[i] = x
+	}
+	return out
+}
+
+// staticSearchAttrs condenses records through c on the given search path
+// with a tracer attached and returns the static.condense span's search
+// attributes.
+func staticSearchAttrs(t *testing.T, c *Condenser, records []mat.Vector, path searchPath) (backend string, windowQueries, visited int) {
+	t.Helper()
+	tr := telemetry.NewTracer(0, 1)
+	c.trace = tr
+	if _, _, err := staticCondensePath(c, records, c.rng(), path); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.Events(0) {
+		if ev.Name != "static.condense" {
+			continue
+		}
+		for _, kv := range ev.Attrs {
+			switch kv[0] {
+			case "backend":
+				backend = kv[1]
+			case "window_queries":
+				windowQueries, _ = strconv.Atoi(kv[1])
+			case "rows_visited":
+				visited, _ = strconv.Atoi(kv[1])
+			}
+		}
+		return backend, windowQueries, visited
+	}
+	t.Fatal("no static.condense span")
+	return
+}
+
+// TestStaticDistanceEvaluations pins the exact number of rows the static
+// search hands to the distance kernel, counted at the call sites, at fixed
+// seeds. On the correlated factor data the engine keeps the projection
+// window and reads under a fifth of the sweep's rows. On i.i.d. d = 8 data
+// the window's probe reads over half the live rows, and the engine hands
+// off to the sweep after windowProbeQueries queries — with two workers,
+// and with one on a class below parallelSweepCutoff, where only the
+// window's higher cost per row (windowRowCost) tips the choice. A change
+// to the pruning bound, the slab scan or the hand-off rule moves these
+// counts.
+func TestStaticDistanceEvaluations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("condenses 20k-record classes")
+	}
+	const k = 25
+	for _, tc := range []struct {
+		name          string
+		records       []mat.Vector
+		workers       int
+		backend       string
+		windowQueries int
+		visited       int
+	}{
+		{"factor-d8", factorRecords(5, 20000, 8), 2, "window", 20000 / k, 1626564},
+		{"iid-d8", gaussianRecords(6, 20000, 8), 2, "scan", windowProbeQueries, 7971615},
+		{"iid-d8-n6k-w1", gaussianRecords(8, 6000, 8), 1, "scan", windowProbeQueries, 709782},
+	} {
+		n := len(tc.records)
+		c, err := NewCondenser(k, WithSeed(7), WithParallelism(tc.workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend, queries, visited := staticSearchAttrs(t, c, tc.records, pathAuto)
+		_, _, sweep := staticSearchAttrs(t, c, tc.records, pathScan)
+		t.Logf("%s: backend %s, %d window queries, %d rows visited (%.1f per record), sweep %d (%.1f per record)",
+			tc.name, backend, queries, visited, float64(visited)/float64(n), sweep, float64(sweep)/float64(n))
+		if backend != tc.backend || queries != tc.windowQueries || visited != tc.visited {
+			t.Errorf("%s: backend %s, %d window queries, %d rows visited; want %s, %d, %d",
+				tc.name, backend, queries, visited, tc.backend, tc.windowQueries, tc.visited)
+		}
+		// The sweep reads every live row once per group.
+		if want := n * (n/k + 1) / 2; sweep != want {
+			t.Errorf("%s: sweep visited %d rows, want %d", tc.name, sweep, want)
 		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 
 // Engine metric names. The stage timers share one histogram family,
 // discriminated by the "stage" label; the neighbor_search series adds a
-// "backend" label naming the search implementation that produced the
-// timing. See DESIGN.md §7 for the full metric table.
+// "backend" label naming the search path that answered each query: the
+// static engine's "window" or "scan" (the engine's choice, per class and
+// per query), or the dynamic engine's "centroid-scan" or
+// "centroid-kdtree". See DESIGN.md §7 for the full metric table.
 const (
 	metricStageSeconds  = "condense_stage_seconds"
 	metricGroupsFormed  = "condense_groups_formed_total"
@@ -78,9 +80,10 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 }
 
 // withSearchBackend attaches the neighbor_search stage series for the
-// named backend ("scan" statically, the dynamic engine's "centroid-scan"
-// or "centroid-kdtree"), carrying the same extra
-// labels as the other engine series.
+// named backend ("window" or "scan" statically, switched when the static
+// search hands off; the dynamic engine's "centroid-scan" or
+// "centroid-kdtree"), carrying the same extra labels as the other engine
+// series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
 	if reg == nil {
 		return

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
@@ -89,6 +90,40 @@ func TestTelemetryStaticCounters(t *testing.T) {
 	eigen := reg.Histogram(metricStageSeconds, nil, "stage", "eigen")
 	if got := eigen.Count(); got != uint64(wantEigen) {
 		t.Errorf("eigen observations = %d, want %d", got, wantEigen)
+	}
+}
+
+// TestTelemetryStaticBackendLabel checks that each static query is timed
+// under the search path that answered it, and that the static.condense
+// span names the path that finished the run: a large correlated class
+// stays on the window; a run forced to hand off times its probe queries
+// as "window" and the rest as "scan".
+func TestTelemetryStaticBackendLabel(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		records       []mat.Vector
+		path          searchPath
+		backend       string
+		window, sweep int // neighbor_search observations per label
+	}{
+		{"auto", factorRecords(3, windowMinRecords+100, 4), pathAuto, "window", (windowMinRecords + 100) / 10, 0},
+		{"hand-off", gaussianRecords(4, 300, 3), pathHandOff, "scan", windowProbeQueries, 30 - windowProbeQueries},
+	} {
+		reg := telemetry.NewRegistry()
+		c, err := NewCondenser(10, WithSeed(2), WithTelemetry(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend, queries, _ := staticSearchAttrs(t, c, tc.records, tc.path)
+		if backend != tc.backend || queries != tc.window {
+			t.Errorf("%s: span backend %q after %d window queries, want %q after %d", tc.name, backend, queries, tc.backend, tc.window)
+		}
+		for label, want := range map[string]int{"window": tc.window, "scan": tc.sweep} {
+			h := reg.Histogram(metricStageSeconds, nil, "stage", "neighbor_search", "backend", label)
+			if got := h.Count(); got != uint64(want) {
+				t.Errorf("%s: neighbor_search{backend=%s} observations = %d, want %d", tc.name, label, got, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"condensation/internal/mat"
 )
@@ -55,8 +56,10 @@ func WriteCSV(w io.Writer, ds *Dataset) error {
 
 // ReadCSV reads a data set written by WriteCSV (or any CSV with a header
 // row, numeric attribute columns, and a final supervision column). For
-// classification, non-numeric labels are interned into ClassNames in order
-// of first appearance; numeric labels are parsed as class indices.
+// classification, a column of non-negative integer labels is parsed as
+// class indices. If any label is anything else, every label — numeric
+// ones included — is interned into ClassNames in order of first
+// appearance, so a column mixing "yes" and "0" keeps them two classes.
 func ReadCSV(r io.Reader, name string, task Task) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validated manually for better messages
@@ -73,7 +76,11 @@ func ReadCSV(r io.Reader, name string, task Task) (*Dataset, error) {
 		Attrs: append([]string(nil), header[:d]...),
 		Task:  task,
 	}
+	// Every label is interned as it is read; numeric stays true while all
+	// of them are non-negative integers.
 	classIndex := map[string]int{}
+	var names []string
+	numeric := true
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -95,17 +102,17 @@ func ReadCSV(r io.Reader, name string, task Task) (*Dataset, error) {
 		ds.X = append(ds.X, x)
 		last := rec[d]
 		if task == Classification {
-			if idx, err := strconv.Atoi(last); err == nil && idx >= 0 {
-				ds.Labels = append(ds.Labels, idx)
-			} else {
-				idx, ok := classIndex[last]
-				if !ok {
-					idx = len(classIndex)
-					classIndex[last] = idx
-					ds.ClassNames = append(ds.ClassNames, last)
+			idx, ok := classIndex[last]
+			if !ok {
+				idx = len(names)
+				name := strings.Clone(last) // last shares the whole record's backing string
+				classIndex[name] = idx
+				names = append(names, name)
+				if v, err := strconv.Atoi(name); err != nil || v < 0 {
+					numeric = false
 				}
-				ds.Labels = append(ds.Labels, idx)
 			}
+			ds.Labels = append(ds.Labels, idx)
 		} else {
 			y, err := strconv.ParseFloat(last, 64)
 			if err != nil {
@@ -113,6 +120,19 @@ func ReadCSV(r io.Reader, name string, task Task) (*Dataset, error) {
 			}
 			ds.Targets = append(ds.Targets, y)
 		}
+	}
+	if numeric {
+		// All labels are class indices: map each interned label to its
+		// value.
+		value := make([]int, len(names))
+		for i, name := range names {
+			value[i], _ = strconv.Atoi(name)
+		}
+		for i, idx := range ds.Labels {
+			ds.Labels[i] = value[idx]
+		}
+	} else {
+		ds.ClassNames = names
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, err

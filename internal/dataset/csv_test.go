@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,66 @@ func TestCSVNumericLabels(t *testing.T) {
 	}
 	if ds.Labels[0] != 0 || ds.Labels[1] != 1 {
 		t.Errorf("Labels = %v", ds.Labels)
+	}
+}
+
+// TestCSVMixedLabels is the regression test for a class column mixing
+// names and numbers: the numeric label used to be parsed as a class index
+// while the names were interned from 0, so "yes" and "0" read as one
+// class. Every label is now a name as soon as one is not a non-negative
+// integer.
+func TestCSVMixedLabels(t *testing.T) {
+	for _, tc := range []struct {
+		labels []string
+		names  []string
+		want   []int
+	}{
+		{[]string{"yes", "0", "yes"}, []string{"yes", "0"}, []int{0, 1, 0}},
+		{[]string{"yes", "0", "yes", "7"}, []string{"yes", "0", "7"}, []int{0, 1, 0, 2}},
+		{[]string{"3", "-1", "3"}, []string{"3", "-1"}, []int{0, 1, 0}},
+	} {
+		in := "a,class\n"
+		for i, l := range tc.labels {
+			in += fmt.Sprintf("%d,%s\n", i, l)
+		}
+		ds, err := ReadCSV(strings.NewReader(in), "mixed", Classification)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.labels, err)
+		}
+		if fmt.Sprint(ds.ClassNames) != fmt.Sprint(tc.names) || fmt.Sprint(ds.Labels) != fmt.Sprint(tc.want) {
+			t.Errorf("%q: ClassNames %q, Labels %v; want %q, %v", tc.labels, ds.ClassNames, ds.Labels, tc.names, tc.want)
+		}
+	}
+}
+
+// TestCSVRoundTripNumericClassName round-trips a data set whose class
+// names include numerals among other names.
+func TestCSVRoundTripNumericClassName(t *testing.T) {
+	ds := &Dataset{
+		Name:       "names",
+		Attrs:      []string{"x"},
+		ClassNames: []string{"b", "0", "a", "2"},
+		Task:       Classification,
+	}
+	for i, label := range []int{1, 0, 3, 2, 1, 3} {
+		ds.X = append(ds.X, []float64{float64(i)})
+		ds.Labels = append(ds.Labels, label)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSV(&buf, "names", Classification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumClasses() != ds.NumClasses() {
+		t.Fatalf("%d classes, want %d", got.NumClasses(), ds.NumClasses())
+	}
+	for i := range ds.Labels {
+		if g, w := got.ClassNames[got.Labels[i]], ds.ClassNames[ds.Labels[i]]; g != w {
+			t.Errorf("record %d: class %q, want %q", i, g, w)
+		}
 	}
 }
 
